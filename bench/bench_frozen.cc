@@ -97,7 +97,7 @@ void RunDataset(const std::string& name, const graph::DataGraph& g, int reps,
                 std::vector<double>* extract_speedups) {
   auto frozen = graph::Freeze(g);
   // The same typing program drives GFP on both representations.
-  auto stage1 = typing::PerfectTypingViaRefinement(g);
+  auto stage1 = typing::PerfectTypingViaHashRefinement(g);
   if (!stage1.ok()) std::abort();
 
   Measurement data =

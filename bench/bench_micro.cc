@@ -46,7 +46,7 @@ graph::DataGraph MakeStructured(int scale) {
 
 void BM_GfpSpecialized(benchmark::State& state) {
   graph::DataGraph g = MakeStructured(static_cast<int>(state.range(0)));
-  auto stage1 = typing::PerfectTypingViaRefinement(g);
+  auto stage1 = typing::PerfectTypingViaHashRefinement(g);
   for (auto _ : state) {
     auto m = typing::ComputeGfp(stage1->program, g);
     benchmark::DoNotOptimize(m);
@@ -58,7 +58,7 @@ BENCHMARK(BM_GfpSpecialized)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_GfpGenericDatalog(benchmark::State& state) {
   graph::DataGraph g = MakeStructured(static_cast<int>(state.range(0)));
-  auto stage1 = typing::PerfectTypingViaRefinement(g);
+  auto stage1 = typing::PerfectTypingViaHashRefinement(g);
   datalog::Program p = stage1->program.ToDatalog();
   for (auto _ : state) {
     auto m = datalog::Evaluate(p, g);
@@ -78,14 +78,14 @@ void BM_Stage1ViaGfp(benchmark::State& state) {
 }
 BENCHMARK(BM_Stage1ViaGfp)->Arg(1)->Arg(4)->Arg(16);
 
-void BM_Stage1ViaRefinement(benchmark::State& state) {
+void BM_Stage1ViaHashRefinement(benchmark::State& state) {
   graph::DataGraph g = MakeStructured(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto r = typing::PerfectTypingViaRefinement(g);
+    auto r = typing::PerfectTypingViaHashRefinement(g);
     benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK(BM_Stage1ViaRefinement)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_Stage1ViaHashRefinement)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_Stage1RefinementRandom(benchmark::State& state) {
   // Random (irregular) graphs: the worst case for type counts.
@@ -97,7 +97,7 @@ void BM_Stage1RefinementRandom(benchmark::State& state) {
   opt.seed = 99;
   graph::DataGraph g = gen::RandomGraph(opt);
   for (auto _ : state) {
-    auto r = typing::PerfectTypingViaRefinement(g);
+    auto r = typing::PerfectTypingViaHashRefinement(g);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -111,7 +111,7 @@ void BM_GreedyClustering(benchmark::State& state) {
       .num_labels = 6,
       .atomic_target_fraction = 0.5,
       .seed = 5});
-  auto stage1 = typing::PerfectTypingViaRefinement(g);
+  auto stage1 = typing::PerfectTypingViaHashRefinement(g);
   cluster::ClusteringOptions copt;
   copt.target_num_types = 5;
   for (auto _ : state) {

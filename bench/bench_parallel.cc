@@ -1,33 +1,33 @@
-// Parallel Stages 1-3: sharded wall-clock vs the sequential reference at
-// 1/2/4/8 worker threads on scaled DBG-style data.
+// Parallel Stages 1 and 3: sharded wall-clock vs the one-thread run at
+// 1/2/4/8 worker threads on scaled DBG-style data. (Stage 2 runs on one
+// thread; its cost is in bench_scale's cluster_ms column.)
 //
 // Emits one JSON row per measurement (machine-consumable, same schema as
 // `bench_scale --json`):
 //
 //   {"bench":"parallel_stage1","algo":"hash","objects":N,"edges":M,
 //    "threads":T,"stage1_ms":X,"speedup":S}
-//   {"bench":"parallel_stage2","algo":"greedy","types":T,"threads":N,
-//    "cluster_ms":X,"speedup":S}
 //   {"bench":"parallel_stage3","algo":"recast","objects":N,"edges":M,
 //    "threads":T,"recast_ms":X,"speedup":S}
 //
-// "speedup" is sequential-reference-ms / this-row-ms, so the reference row
-// itself reports 1.0. Every parallel run is verified bit-identical to the
-// reference before its row prints — Stage 1: home vector AND typing
-// program; Stage 2: merge steps, final program, map, weights; Stage 3:
-// full assignment and exact/fallback/untyped counts. A mismatch exits 1.
-// Wall-clock parallel speedup obviously requires the machine to have
-// cores — the row stream includes a "context" row with
+// "speedup" is one-thread-ms / this-row-ms, so the reference row itself
+// reports 1.0. Every sharded run is verified bit-identical to the
+// one-thread run before its row prints — Stage 1: home vector AND typing
+// program; Stage 3: full assignment and exact/fallback/untyped counts. A
+// mismatch exits 1. Wall-clock parallel speedup obviously requires the
+// machine to have cores — the row stream includes a "context" row with
 // hardware_concurrency so downstream plots can annotate single-core boxes.
 //
 // Flags:
 //   --smoke   5x DBG scale and 1 repetition (CI-sized); default is 25x
 //             and best-of-3.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "cluster/greedy.h"
 #include "gen/dbg.h"
@@ -41,31 +41,18 @@ namespace {
 
 using namespace schemex;  // NOLINT
 
-struct Measurement {
-  double ms = 0;
-  typing::PerfectTypingResult result;
-};
-
-/// Best-of-reps wall clock; the returned result comes from the last run
-/// (all runs produce identical results by construction).
-template <typename Fn>
-Measurement Measure(int reps, Fn&& fn) {
-  Measurement m;
-  m.ms = 1e300;
+/// Best-of-reps wall clock of fn(); the returned result comes from the
+/// last run (all runs produce identical results by construction).
+template <typename Result, typename Fn>
+std::pair<double, Result> Measure(int reps, Fn&& fn) {
+  double ms = 1e300;
+  Result out;
   for (int r = 0; r < reps; ++r) {
     util::WallTimer t;
-    m.result = fn();
-    m.ms = std::min(m.ms, t.ElapsedMillis());
+    out = fn();
+    ms = std::min(ms, t.ElapsedMillis());
   }
-  return m;
-}
-
-void PrintRow(const char* algo, size_t objects, size_t edges, size_t threads,
-              double ms, double seq_ms) {
-  std::printf(
-      "{\"bench\":\"parallel_stage1\",\"algo\":\"%s\",\"objects\":%zu,"
-      "\"edges\":%zu,\"threads\":%zu,\"stage1_ms\":%.3f,\"speedup\":%.3f}\n",
-      algo, objects, edges, threads, ms, ms > 0 ? seq_ms / ms : 0.0);
+  return {ms, std::move(out)};
 }
 
 int Run(int scale, int reps) {
@@ -83,13 +70,9 @@ int Run(int scale, int reps) {
       scale, g->NumObjects(), g->NumEdges(),
       std::thread::hardware_concurrency());
 
-  // Sequential map-based reference: the baseline every speedup is
-  // relative to, and the oracle every parallel run is checked against.
-  Measurement ref = Measure(
-      reps, [&] { return *typing::PerfectTypingViaRefinement(*g); });
-  PrintRow("refinement_map", g->NumObjects(), g->NumEdges(), 1, ref.ms,
-           ref.ms);
-
+  // ---- Stage 1: hash refinement, sharded hashing + sequential reduce.
+  typing::PerfectTypingResult stage1;
+  double seq1_ms = 0;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     // One pool across the reps so thread spin-up is not billed to the
     // algorithm (matches how the extractor owns its pool per request).
@@ -97,109 +80,64 @@ int Run(int scale, int reps) {
     typing::ExecOptions exec;
     exec.num_threads = threads;
     exec.pool = pool.get();
-    Measurement m = Measure(reps, [&] {
+    auto [ms, r] = Measure<typing::PerfectTypingResult>(reps, [&] {
       return *typing::PerfectTypingViaHashRefinement(*g, exec);
     });
-    if (m.result.home != ref.result.home ||
-        m.result.program != ref.result.program) {
+    if (threads == 1) {
+      seq1_ms = ms;
+      stage1 = std::move(r);
+    } else if (r.home != stage1.home || r.program != stage1.program) {
       std::fprintf(stderr,
                    "FAIL: hash refinement at %zu threads diverged from the "
-                   "sequential reference\n",
-                   threads);
-      return 1;
-    }
-    PrintRow("hash", g->NumObjects(), g->NumEdges(), threads, m.ms, ref.ms);
-  }
-
-  // ---- Stage 2: greedy clustering, sharded distance scan + maintenance.
-  const typing::PerfectTypingResult& stage1 = ref.result;
-  cluster::ClusteringOptions copt;
-  copt.target_num_types = 6;
-
-  auto measure_cluster = [&](const typing::ExecOptions& exec) {
-    double ms = 1e300;
-    cluster::ClusteringResult out;
-    for (int r = 0; r < reps; ++r) {
-      util::WallTimer t;
-      out = *cluster::ClusterTypes(stage1.program, stage1.weight, copt, exec);
-      ms = std::min(ms, t.ElapsedMillis());
-    }
-    return std::pair<double, cluster::ClusteringResult>(ms, std::move(out));
-  };
-
-  auto [seq2_ms, ref_cluster] = measure_cluster({});
-  std::printf(
-      "{\"bench\":\"parallel_stage2\",\"algo\":\"greedy\",\"types\":%zu,"
-      "\"threads\":1,\"cluster_ms\":%.3f,\"speedup\":1.000}\n",
-      stage1.program.NumTypes(), seq2_ms);
-
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    util::PoolRef pool(nullptr, threads);
-    typing::ExecOptions exec;
-    exec.num_threads = threads;
-    exec.pool = pool.get();
-    auto [ms, r] = measure_cluster(exec);
-    bool same_steps = r.steps.size() == ref_cluster.steps.size();
-    for (size_t i = 0; same_steps && i < r.steps.size(); ++i) {
-      same_steps = r.steps[i].source == ref_cluster.steps[i].source &&
-                   r.steps[i].dest == ref_cluster.steps[i].dest &&
-                   r.steps[i].cost == ref_cluster.steps[i].cost;
-    }
-    if (!same_steps || !(r.final_program == ref_cluster.final_program) ||
-        r.final_map != ref_cluster.final_map ||
-        r.final_weights != ref_cluster.final_weights) {
-      std::fprintf(stderr,
-                   "FAIL: clustering at %zu threads diverged from the "
-                   "sequential reference\n",
+                   "one-thread run\n",
                    threads);
       return 1;
     }
     std::printf(
-        "{\"bench\":\"parallel_stage2\",\"algo\":\"greedy\",\"types\":%zu,"
-        "\"threads\":%zu,\"cluster_ms\":%.3f,\"speedup\":%.3f}\n",
-        stage1.program.NumTypes(), threads, ms,
-        ms > 0 ? seq2_ms / ms : 0.0);
+        "{\"bench\":\"parallel_stage1\",\"algo\":\"hash\",\"objects\":%zu,"
+        "\"edges\":%zu,\"threads\":%zu,\"stage1_ms\":%.3f,\"speedup\":%.3f}\n",
+        g->NumObjects(), g->NumEdges(), threads, ms,
+        ms > 0 ? seq1_ms / ms : 0.0);
   }
 
-  // ---- Stage 3: recast (parallel GFP + sharded sweep + fallback).
+  // ---- Stage 3: recast (parallel GFP + sharded sweep + fallback), over
+  // the homes of a k=6 clustering.
+  cluster::ClusteringOptions copt;
+  copt.target_num_types = 6;
+  auto clustering = cluster::ClusterTypes(stage1.program, stage1.weight, copt);
+  if (!clustering.ok()) {
+    std::fprintf(stderr, "cluster: %s\n",
+                 clustering.status().ToString().c_str());
+    return 1;
+  }
   std::vector<std::vector<typing::TypeId>> homes(g->NumObjects());
   for (size_t o = 0; o < stage1.home.size(); ++o) {
     if (stage1.home[o] == typing::kInvalidType) continue;
     typing::TypeId m =
-        ref_cluster.final_map[static_cast<size_t>(stage1.home[o])];
+        clustering->final_map[static_cast<size_t>(stage1.home[o])];
     if (m != cluster::kEmptyType) homes[o] = {m};
   }
 
-  auto measure_recast = [&](const typing::ExecOptions& exec) {
-    double ms = 1e300;
-    typing::RecastResult out;
-    for (int r = 0; r < reps; ++r) {
-      util::WallTimer t;
-      out = *typing::Recast(ref_cluster.final_program, *g, homes, {}, exec);
-      ms = std::min(ms, t.ElapsedMillis());
-    }
-    return std::pair<double, typing::RecastResult>(ms, std::move(out));
-  };
-
-  auto [seq3_ms, ref_recast] = measure_recast({});
-  std::printf(
-      "{\"bench\":\"parallel_stage3\",\"algo\":\"recast\",\"objects\":%zu,"
-      "\"edges\":%zu,\"threads\":1,\"recast_ms\":%.3f,\"speedup\":1.000}\n",
-      g->NumObjects(), g->NumEdges(), seq3_ms);
-
+  typing::RecastResult ref_recast;
+  double seq3_ms = 0;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     util::PoolRef pool(nullptr, threads);
     typing::ExecOptions exec;
     exec.num_threads = threads;
     exec.pool = pool.get();
-    auto [ms, r] = measure_recast(exec);
-    if (!(r.assignment == ref_recast.assignment) ||
-        r.num_exact != ref_recast.num_exact ||
-        r.num_fallback != ref_recast.num_fallback ||
-        r.num_untyped != ref_recast.num_untyped) {
+    auto [ms, r] = Measure<typing::RecastResult>(reps, [&] {
+      return *typing::Recast(clustering->final_program, *g, homes, {}, exec);
+    });
+    if (threads == 1) {
+      seq3_ms = ms;
+      ref_recast = std::move(r);
+    } else if (!(r.assignment == ref_recast.assignment) ||
+               r.num_exact != ref_recast.num_exact ||
+               r.num_fallback != ref_recast.num_fallback ||
+               r.num_untyped != ref_recast.num_untyped) {
       std::fprintf(stderr,
                    "FAIL: recast at %zu threads diverged from the "
-                   "sequential reference\n",
+                   "one-thread run\n",
                    threads);
       return 1;
     }

@@ -36,7 +36,7 @@ int Run() {
       g.NumObjects(), g.NumEdges());
 
   // Perfect typing: exact pruning.
-  auto stage1 = typing::PerfectTypingViaRefinement(g);
+  auto stage1 = typing::PerfectTypingViaHashRefinement(g);
   typing::TypeAssignment perfect_tau(g.NumObjects());
   for (size_t o = 0; o < stage1->home.size(); ++o) {
     if (stage1->home[o] != typing::kInvalidType) {

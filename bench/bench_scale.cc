@@ -10,7 +10,7 @@
 //             instead of tables. Row schemas (trajectory diffs parse
 //             these; keep them stable):
 //               pipeline row —
-//                 {"bench":"scale","algo":"refinement_map","objects":N,
+//                 {"bench":"scale","algo":"hash","objects":N,
 //                  "edges":N,"stage1_types":N,"threads":1,"stage1_ms":F,
 //                  "cluster_ms":F,"recast_ms":F,"apply_delta_ms":F,
 //                  "speedup":1.000}
@@ -19,7 +19,7 @@
 //                 frozen graph (best of 3) — the generation-swap cost a
 //                 service apply_delta pays before any retyping.
 //               stage1-only row (large scales) —
-//                 {"bench":"scale","algo":"refinement_map","objects":N,
+//                 {"bench":"scale","algo":"hash","objects":N,
 //                  "edges":N,"threads":1,"stage1_ms":F,"speedup":1.000}
 //               cluster_kernel row —
 //                 {"bench":"cluster_kernel","kernel":"sorted"|"bit",
@@ -59,7 +59,7 @@ using namespace schemex;  // NOLINT
 
 void PrintJsonRow(size_t objects, size_t edges, double stage1_ms) {
   std::printf(
-      "{\"bench\":\"scale\",\"algo\":\"refinement_map\",\"objects\":%zu,"
+      "{\"bench\":\"scale\",\"algo\":\"hash\",\"objects\":%zu,"
       "\"edges\":%zu,\"threads\":1,\"stage1_ms\":%.3f,\"speedup\":1.000}\n",
       objects, edges, stage1_ms);
 }
@@ -68,7 +68,7 @@ void PrintJsonPipelineRow(size_t objects, size_t edges, size_t stage1_types,
                           double stage1_ms, double cluster_ms,
                           double recast_ms, double apply_delta_ms) {
   std::printf(
-      "{\"bench\":\"scale\",\"algo\":\"refinement_map\",\"objects\":%zu,"
+      "{\"bench\":\"scale\",\"algo\":\"hash\",\"objects\":%zu,"
       "\"edges\":%zu,\"stage1_types\":%zu,\"threads\":1,\"stage1_ms\":%.3f,"
       "\"cluster_ms\":%.3f,\"recast_ms\":%.3f,\"apply_delta_ms\":%.3f,"
       "\"speedup\":1.000}\n",
@@ -217,7 +217,7 @@ int Run(bool json, bool smoke) {
 
     util::WallTimer total;
     util::WallTimer t1;
-    auto stage1 = typing::PerfectTypingViaRefinement(*g);
+    auto stage1 = typing::PerfectTypingViaHashRefinement(*g);
     double stage1_ms = t1.ElapsedMillis();
 
     util::WallTimer t2;
@@ -280,7 +280,7 @@ int Run(bool json, bool smoke) {
       auto g = gen::Generate(spec, 4242);
       if (!g.ok()) return 1;
       util::WallTimer t1;
-      auto stage1 = typing::PerfectTypingViaRefinement(*g);
+      auto stage1 = typing::PerfectTypingViaHashRefinement(*g);
       double stage1_ms = t1.ElapsedMillis();
       if (json) {
         PrintJsonRow(g->NumObjects(), g->NumEdges(), stage1_ms);

@@ -76,7 +76,7 @@ int Run() {
   }
 
   for (const Workload& w : workloads) {
-    auto stage1 = typing::PerfectTypingViaRefinement(w.g);
+    auto stage1 = typing::PerfectTypingViaHashRefinement(w.g);
     if (!stage1.ok()) continue;
 
     cluster::ClusteringOptions gopt;

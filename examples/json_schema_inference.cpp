@@ -7,10 +7,14 @@
 //   $ ./examples/json_schema_inference
 
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "extract/extractor.h"
+#include "graph/delta_overlay.h"
+#include "graph/frozen_graph.h"
 #include "json/import.h"
-#include "typing/recast.h"
+#include "typing/incremental.h"
 #include "util/string_util.h"
 
 using namespace schemex;  // NOLINT
@@ -73,18 +77,45 @@ int main() {
   extract::ExtractorOptions opt;
   opt.target_num_types = 4;
   auto r = extract::SchemaExtractor(opt).Run(*g);
+  if (!r.ok()) {
+    std::cerr << r.status() << "\n";
+    return 1;
+  }
 
-  graph::DataGraph extended = *g;
+  graph::DeltaOverlay extended(graph::Freeze(*g));
   graph::ObjectId newbie = extended.AddComplex("newcomer");
-  (void)extended.AddEdge(newbie, extended.AddAtomic("margaret"), "name");
-  (void)extended.AddEdge(newbie, extended.AddAtomic("mh@x.org"), "email");
-  (void)extended.AddEdge(newbie, extended.AddAtomic("apollo-agc"), "papers");
+  const std::pair<const char*, const char*> fields[] = {
+      {"name", "margaret"}, {"email", "mh@x.org"}, {"papers", "apollo-agc"}};
+  for (const auto& [label, value] : fields) {
+    util::Status s = extended.AddEdge(newbie, extended.AddAtomic(value), label);
+    if (!s.ok()) {
+      std::cerr << s << "\n";
+      return 1;
+    }
+  }
 
-  size_t dist = 0;
-  typing::TypeId t = typing::NearestType(
-      r->final_program, extended, r->recast.assignment, newbie, &dist);
-  std::cout << util::StringPrintf(
-      "new record {name, email, papers} -> type %d ('%s'), distance %zu\n",
-      t + 1, r->final_program.type(t).name.c_str(), dist);
+  typing::TypeAssignment tau = r->recast.assignment;
+  auto typed = typing::TypeArrivals(r->final_program, extended,
+                                    std::vector<graph::ObjectId>{newbie}, &tau);
+  if (!typed.ok()) {
+    std::cerr << typed.status() << "\n";
+    return 1;
+  }
+  const typing::ArrivalTyping& a = typed->front();
+  if (a.exact_types.empty()) {
+    std::cout << util::StringPrintf(
+        "new record {name, email, papers} fits no type exactly -> nearest "
+        "type %d ('%s'), distance %zu\n",
+        a.fallback_type + 1,
+        r->final_program.type(a.fallback_type).name.c_str(),
+        a.fallback_distance);
+  } else {
+    std::cout << "new record {name, email, papers} fits type(s):";
+    for (typing::TypeId t : a.exact_types) {
+      std::cout << " " << t + 1 << " ('" << r->final_program.type(t).name
+                << "')";
+    }
+    std::cout << "\n";
+  }
   return 0;
 }

@@ -73,7 +73,7 @@ struct Workspace {
 
   /// Online-typing tallies since the last extraction: complex objects
   /// that arrived via apply_delta, and how many of them fit an existing
-  /// type exactly. Feeds IncrementalTyper::RetypeRecommended.
+  /// type exactly. Feeds typing::RetypeRecommended.
   size_t delta_arrivals = 0;
   size_t delta_exact = 0;
 

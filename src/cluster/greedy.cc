@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "util/parallel_for.h"
 #include "util/string_util.h"
 
 namespace schemex::cluster {
@@ -45,41 +44,33 @@ struct Candidate {
   }
 };
 
-/// The greedy clusterer, organised as *sharded compute, sequential
-/// reduce* (the Stage-1 playbook): every merge step runs three phases —
+/// The greedy clusterer. Every merge step runs three phases:
 ///
-///   M (sequential): apply the hypercube projection / link drop to the
-///     affected rule bodies and re-encode them on the bit kernel. This is
-///     the only phase that grows the BitSignatureIndex universe, so bit
-///     assignment order is identical for every thread count.
-///   D (sharded): recompute the simple-distance matrix entries whose
-///     endpoints changed, each unordered pair owned by its lower row so
-///     workers write disjoint cells.
-///   B (sharded): restore every live source's cached best move, either by
-///     a full rescan (when its own body or its cached destination
-///     changed) or by folding in just the changed destinations. Each
-///     worker writes only its own best_[j] slots.
+///   M: apply the hypercube projection / link drop to the affected rule
+///     bodies and re-encode them on the bit kernel (the only place the
+///     BitSignatureIndex universe grows).
+///   D: recompute the simple-distance matrix entries whose endpoints
+///     changed.
+///   B: restore every live source's cached best move, either by a full
+///     rescan (when its cached pick may have got worse) or by folding in
+///     just the candidates that may have got better.
 ///
-/// All phase inputs are frozen before the shards launch and every value
-/// is a pure function of them, so the result is bit-identical at any
-/// thread count; with no pool the shards run inline in order, which *is*
-/// the sequential reference.
+/// It runs on the caller's thread. Sharding D and B across workers gave
+/// at most 1.25x at 4 threads on a 4-core machine and lost on one core;
+/// the B-phase rules below, which skip rescans, are where the time goes.
 class GreedyClusterer {
  public:
   GreedyClusterer(const TypingProgram& stage1,
                   const std::vector<uint32_t>& weights,
-                  const ClusteringOptions& options, util::ThreadPool* pool,
-                  size_t threads)
+                  const ClusteringOptions& options)
       : options_(options),
         n_(stage1.NumTypes()),
-        pool_(pool),
-        threads_(threads),
         names_(n_),
         sig_(n_),
         enc_(n_),
         weight_(n_),
         alive_(n_, true),
-        changed_(n_, 0),
+        changed_(n_, false),
         cluster_of_(n_),
         big_l_(stage1.NumDistinctTypedLinks()) {
     for (size_t i = 0; i < n_; ++i) {
@@ -90,9 +81,7 @@ class GreedyClusterer {
     }
     InitDistances();
     best_.resize(n_);
-    ForEachShard([&](size_t begin, size_t end) {
-      for (size_t s = begin; s < end; ++s) RecomputeBest(s);
-    });
+    for (size_t s = 0; s < n_; ++s) RecomputeBest(s);
   }
 
   util::StatusOr<ClusteringResult> Run(const typing::ExecOptions& exec) {
@@ -137,15 +126,8 @@ class GreedyClusterer {
     d_[a * n_ + b] = static_cast<uint32_t>(v);
     d_[b * n_ + a] = static_cast<uint32_t>(v);
   }
-
-  /// Runs fn over row shards of [0, n) — on the pool when one was given,
-  /// inline (in order) otherwise.
-  template <typename Fn>
-  void ForEachShard(Fn&& fn) {
-    auto shards = util::ShardRanges(n_, threads_);
-    util::RunShards(pool_, shards.size(), [&](size_t s) {
-      fn(shards[s].first, shards[s].second);
-    });
+  void RefreshD(size_t a, size_t b) {
+    SetD(a, b, BitSignatureIndex::Distance(enc_[a], enc_[b]));
   }
 
   void InitDistances() {
@@ -153,16 +135,12 @@ class GreedyClusterer {
     for (size_t i = 0; i < n_; ++i) {
       initial_weight_[i] = static_cast<uint64_t>(weight_[i]);
     }
-    // Sequential encode fixes the bit universe in type order.
+    // Encoding in type order fixes the bit universe deterministically.
     for (size_t i = 0; i < n_; ++i) enc_[i] = index_.Encode(sig_[i]);
     d_.assign(n_ * n_, 0);
-    ForEachShard([&](size_t begin, size_t end) {
-      for (size_t a = begin; a < end; ++a) {
-        for (size_t b = a + 1; b < n_; ++b) {
-          SetD(a, b, BitSignatureIndex::Distance(enc_[a], enc_[b]));
-        }
-      }
-    });
+    for (size_t a = 0; a < n_; ++a) {
+      for (size_t b = a + 1; b < n_; ++b) RefreshD(a, b);
+    }
   }
 
   double Cost(size_t dest, size_t source, size_t dist) const {
@@ -196,6 +174,12 @@ class GreedyClusterer {
       if (c.BeatsAsDest(best)) best = c;
     }
     best_[s] = best;
+  }
+
+  /// Folds candidate s -> t into s's cached best if it beats it.
+  void Fold(size_t s, size_t t) {
+    Candidate cand = MakeCandidate(s, t);
+    if (cand.BeatsAsDest(best_[s])) best_[s] = cand;
   }
 
   Candidate PickGlobalBest() const {
@@ -232,12 +216,10 @@ class GreedyClusterer {
       if (cl == c.source) cl = c.dest;
     }
 
-    // Phase M: mutate the affected rule bodies and re-encode them.
-    // Sequential — it is O(changed · |sig|), and it is the only place new
-    // typed links (retargeted to c.dest) enter the bit universe, so bit
-    // order stays deterministic.
+    // Phase M: mutate the affected rule bodies and re-encode them. Typed
+    // links retargeted to c.dest enter the bit universe here.
     const bool empty_dest = c.dest == kEmptyType;
-    std::fill(changed_.begin(), changed_.end(), uint8_t{0});
+    std::fill(changed_.begin(), changed_.end(), false);
     changed_list_.clear();
     for (size_t i = 0; i < n_; ++i) {
       if (!alive_[i]) continue;
@@ -262,7 +244,7 @@ class GreedyClusterer {
         sig_[i].RemapTarget(c.source, c.dest);
       }
       enc_[i] = index_.Encode(sig_[i]);
-      changed_[i] = 1;
+      changed_[i] = true;
       changed_list_.push_back(i);
     }
     if (empty_dest) {
@@ -271,64 +253,43 @@ class GreedyClusterer {
       weight_[static_cast<size_t>(c.dest)] += weight_[s];
     }
 
-    // Phase D: refresh the distance rows whose endpoints changed. Each
-    // unordered pair is owned by its lower index, so shards write
-    // disjoint matrix cells; every value reads only post-M state.
-    if (!changed_list_.empty()) {
-      ForEachShard([&](size_t begin, size_t end) {
-        for (size_t a = begin; a < end; ++a) {
-          if (!alive_[a]) continue;
-          if (changed_[a]) {
-            for (size_t b = a + 1; b < n_; ++b) {
-              if (!alive_[b]) continue;
-              SetD(a, b, BitSignatureIndex::Distance(enc_[a], enc_[b]));
-            }
-          } else {
-            auto it = std::upper_bound(changed_list_.begin(),
-                                       changed_list_.end(), a);
-            for (; it != changed_list_.end(); ++it) {
-              if (alive_[*it]) {
-                SetD(a, *it, BitSignatureIndex::Distance(enc_[a], enc_[*it]));
-              }
-            }
-          }
-        }
-      });
+    // Phase D: refresh every live pair with a changed endpoint, once.
+    for (size_t a : changed_list_) {
+      for (size_t b = 0; b < n_; ++b) {
+        if (b != a && alive_[b] && (!changed_[b] || b > a)) RefreshD(a, b);
+      }
     }
 
     // Phase B: restore every cached best to the true minimum over the
-    // fresh state. A cached pick is still valid unless the source itself
-    // changed, its destination died / changed body / changed weight, or
-    // (for w1-dependent psi kinds) the empty type got heavier; candidates
-    // that could only have *improved* are folded in. The minimum under
-    // (cost, dest-rank) is unique, so rescans and fold-ins agree exactly.
+    // fresh state. A cached pick must be rescanned only if it may have
+    // got worse: the source itself changed; its destination died or
+    // changed body; or the destination's weight grew (c.dest, or the
+    // empty type) under a psi kind that prices it. Otherwise only
+    // candidates that could have *improved* are folded in. The minimum
+    // under (cost, dest-rank) is unique, so rescans and fold-ins agree.
+    const bool dest_weight_priced = PsiDependsOnDestWeight();
     const bool empty_weight_changed =
-        empty_dest && options_.enable_empty_type && PsiDependsOnDestWeight();
-    ForEachShard([&](size_t begin, size_t end) {
-      for (size_t j = begin; j < end; ++j) {
-        if (!alive_[j]) continue;
-        const Candidate& cached = best_[j];
-        bool recompute =
-            changed_[j] || cached.dest == c.source || empty_weight_changed ||
-            (!empty_dest && (j == static_cast<size_t>(c.dest) ||
-                             cached.dest == c.dest)) ||
-            (cached.dest >= 0 && changed_[static_cast<size_t>(cached.dest)]);
-        if (recompute) {
-          RecomputeBest(j);
-          continue;
-        }
-        for (size_t cd : changed_list_) {
-          if (cd == j || !alive_[cd]) continue;
-          Candidate cand = MakeCandidate(j, cd);
-          if (cand.BeatsAsDest(best_[j])) best_[j] = cand;
-        }
-        if (!empty_dest && j != static_cast<size_t>(c.dest)) {
-          // The destination got heavier: moves into it may have cheapened.
-          Candidate cand = MakeCandidate(j, static_cast<size_t>(c.dest));
-          if (cand.BeatsAsDest(best_[j])) best_[j] = cand;
-        }
+        empty_dest && options_.enable_empty_type && dest_weight_priced;
+    for (size_t j = 0; j < n_; ++j) {
+      if (!alive_[j]) continue;
+      const Candidate& cached = best_[j];
+      bool recompute =
+          changed_[j] || cached.dest == c.source || empty_weight_changed ||
+          (!empty_dest && (j == static_cast<size_t>(c.dest) ||
+                           (dest_weight_priced && cached.dest == c.dest))) ||
+          (cached.dest >= 0 && changed_[static_cast<size_t>(cached.dest)]);
+      if (recompute) {
+        RecomputeBest(j);
+        continue;
       }
-    });
+      for (size_t cd : changed_list_) {
+        if (cd != j) Fold(j, cd);
+      }
+      if (!empty_dest && j != static_cast<size_t>(c.dest)) {
+        // The destination got heavier: moves into it may have cheapened.
+        Fold(j, static_cast<size_t>(c.dest));
+      }
+    }
   }
 
   Snapshot MakeSnapshot(double total) const {
@@ -358,8 +319,6 @@ class GreedyClusterer {
 
   const ClusteringOptions options_;
   const size_t n_;
-  util::ThreadPool* pool_;
-  const size_t threads_;
   std::vector<std::string> names_;
   std::vector<TypeSignature> sig_;
   BitSignatureIndex index_;
@@ -369,7 +328,7 @@ class GreedyClusterer {
   std::vector<double> weight_;
   std::vector<uint64_t> initial_weight_;
   std::vector<bool> alive_;
-  std::vector<uint8_t> changed_;      // per-merge scratch (byte: shard-read)
+  std::vector<bool> changed_;         // per-merge scratch
   std::vector<size_t> changed_list_;  // ascending ids of changed_ entries
   std::vector<TypeId> cluster_of_;
   std::vector<uint32_t> d_;        // flat n*n simple-distance matrix
@@ -392,9 +351,7 @@ util::StatusOr<ClusteringResult> ClusterTypes(
     return util::Status::InvalidArgument("target_num_types must be >= 1");
   }
   SCHEMEX_RETURN_IF_ERROR(stage1.Validate());
-  util::PoolRef pool(exec.pool, exec.num_threads);
-  GreedyClusterer clusterer(stage1, weights, options, pool.get(),
-                            pool.num_threads());
+  GreedyClusterer clusterer(stage1, weights, options);
   return clusterer.Run(exec);
 }
 

@@ -76,13 +76,11 @@ struct ClusteringResult {
 /// `weights[i]` is the number of objects whose home is Stage-1 type i.
 /// Fails if weights.size() != stage1.NumTypes() or target is out of range.
 ///
-/// Distances run on the bit-parallel kernel (BitSignatureIndex); the
-/// all-pairs candidate scan and the per-merge distance/best-candidate
-/// maintenance shard across `exec` workers with a deterministic
-/// sequential reduce, so the merge sequence, snapshots, and final program
-/// are bit-identical for every thread count (the default ExecOptions is
-/// the sequential reference). exec.check_cancel is polled before every
-/// merge step; its status propagates verbatim.
+/// Distances run on the bit-parallel kernel (BitSignatureIndex), and the
+/// clustering runs on the caller's thread: only exec.check_cancel is
+/// used (its pool and thread count are ignored, so every ExecOptions
+/// yields the same result). It is polled before every merge step; its
+/// status propagates verbatim.
 util::StatusOr<ClusteringResult> ClusterTypes(
     const typing::TypingProgram& stage1, const std::vector<uint32_t>& weights,
     const ClusteringOptions& options, const typing::ExecOptions& exec = {});

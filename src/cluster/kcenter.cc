@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "cluster/distance.h"
-#include "util/parallel_for.h"
 #include "util/string_util.h"
 
 namespace schemex::cluster {
@@ -29,25 +28,17 @@ util::StatusOr<KCenterResult> KCenterCluster(
   SCHEMEX_RETURN_IF_ERROR(exec.Poll());
   k = std::min(k, n);
 
-  // Pairwise simple distances on the bit kernel, rows sharded; each
-  // unordered pair is owned by its lower row, so workers write disjoint
-  // cells of the (pre-sized) matrix.
+  // Pairwise simple distances on the bit kernel.
   BitSignatureIndex index(stage1);
   std::vector<BitSignature> enc(n);
   for (size_t i = 0; i < n; ++i) {
     enc[i] = index.Encode(stage1.type(static_cast<TypeId>(i)).signature);
   }
   std::vector<std::vector<size_t>> d(n, std::vector<size_t>(n, 0));
-  {
-    util::PoolRef pool(exec.pool, exec.num_threads);
-    auto shards = util::ShardRanges(n, pool.num_threads());
-    util::RunShards(pool.get(), shards.size(), [&](size_t s) {
-      for (size_t i = shards[s].first; i < shards[s].second; ++i) {
-        for (size_t j = i + 1; j < n; ++j) {
-          d[i][j] = d[j][i] = BitSignatureIndex::Distance(enc[i], enc[j]);
-        }
-      }
-    });
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      d[i][j] = d[j][i] = BitSignatureIndex::Distance(enc[i], enc[j]);
+    }
   }
   SCHEMEX_RETURN_IF_ERROR(exec.Poll());
 

@@ -36,10 +36,9 @@ struct KCenterResult {
 /// Clusters the Stage-1 types to (at most) `k` clusters. Fails on size
 /// mismatch or k == 0. If k >= NumTypes the result is the identity.
 ///
-/// The pairwise distance matrix runs on the bit-parallel kernel, sharded
-/// across `exec` workers; traversal, assignment, and medoid selection are
-/// sequential, so the result is bit-identical for every thread count.
-/// exec.check_cancel is polled between phases.
+/// The pairwise distance matrix runs on the bit-parallel kernel. Like
+/// ClusterTypes, it runs on the caller's thread: only exec.check_cancel
+/// is used, polled between phases.
 util::StatusOr<KCenterResult> KCenterCluster(
     const typing::TypingProgram& stage1, const std::vector<uint32_t>& weights,
     size_t k, const typing::ExecOptions& exec = {});

@@ -32,9 +32,6 @@ util::StatusOr<typing::PerfectTypingResult> RunStage1(
   if (options.stage1 == ExtractorOptions::Stage1Algorithm::kGfp) {
     return typing::PerfectTypingViaGfp(g, exec);
   }
-  if (options.parallelism == 1) {
-    return typing::PerfectTypingViaRefinement(g);
-  }
   return typing::PerfectTypingViaHashRefinement(g, exec);
 }
 
@@ -149,9 +146,8 @@ util::StatusOr<ExtractionResult> SchemaExtractor::Run(
   util::WallTimer total_timer;
 
   // One pool for the whole run — Stage 1 shards its hashing and GFP
-  // phases on it, Stage 2 its distance/best maintenance, Stage 3 its
-  // GFP, exact sweep, and fallback precompute; nullptr when the resolved
-  // parallelism is 1.
+  // phases on it, Stage 3 its GFP, exact sweep, and fallback precompute;
+  // nullptr when the resolved parallelism is 1.
   size_t threads =
       internal::ResolveParallelism(options_.parallelism, g.NumComplexObjects());
   util::PoolRef pool(nullptr, threads);

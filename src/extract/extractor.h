@@ -23,14 +23,14 @@ struct ExtractorOptions {
   };
   Stage1Algorithm stage1 = Stage1Algorithm::kRefinement;
 
-  /// Worker parallelism for all three stages: Stage-1 hashing/GFP, the
-  /// Stage-2 all-pairs scan and per-merge distance/best maintenance, and
-  /// the Stage-3 GFP, exact sweep, and nearest-type fallback. 0 = auto
-  /// (hardware concurrency, moderated by the graph's size so tiny inputs
-  /// stay inline); 1 = the sequential reference implementations; N > 1 =
-  /// shard across exactly N workers (one transient pool per Run call,
-  /// shared by every stage). Every setting produces bit-identical
-  /// results — the knob only trades wall-clock for cores.
+  /// Worker parallelism for the data-sized stages: Stage-1 hashing/GFP
+  /// and the Stage-3 GFP, exact sweep, and nearest-type fallback (Stage 2
+  /// always runs on one thread). 0 = auto (hardware concurrency,
+  /// moderated by the graph's size so tiny inputs stay inline); 1 = run
+  /// every stage inline; N > 1 = shard across exactly N workers (one
+  /// transient pool per Run call, shared by every stage). Every setting
+  /// produces bit-identical results — the knob only trades wall-clock
+  /// for cores.
   size_t parallelism = 0;
 
   /// Run the multiple-roles pass (§4.2) between Stages 1 and 2.

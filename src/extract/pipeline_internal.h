@@ -20,8 +20,6 @@ namespace schemex::extract::internal {
 size_t ResolveParallelism(size_t requested, size_t num_complex);
 
 /// Stage 1 with the options' algorithm, parallelism, and cancellation.
-/// parallelism == 1 routes refinement to the sequential reference
-/// implementation; every other setting uses the hash-refinement engine.
 util::StatusOr<typing::PerfectTypingResult> RunStage1(
     const ExtractorOptions& options, graph::GraphView g,
     util::ThreadPool* pool, size_t threads);

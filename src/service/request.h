@@ -49,11 +49,11 @@ struct ExtractParams {
   bool decompose_roles = false;
   /// Stage-1 algorithm: "refinement" (default) or "gfp".
   std::string stage1 = "refinement";
-  /// Worker parallelism for every extraction stage (Stage-1 refinement
-  /// and GFP, Stage-2 clustering, Stage-3 recast): 0 = defer to the
-  /// server's default (which itself defaults to auto = hardware
-  /// concurrency), 1 = the sequential reference path, N > 1 = exactly N
-  /// workers. Identical results for every setting.
+  /// Worker parallelism for the sharded extraction stages (Stage-1
+  /// refinement and GFP, Stage-3 recast; Stage-2 clustering is always
+  /// one thread): 0 = defer to the server's default (which itself
+  /// defaults to auto = hardware concurrency), 1 = inline, N > 1 =
+  /// exactly N workers. Identical results for every setting.
   uint64_t parallelism = 0;
   /// When non-empty, also persist the updated workspace here (atomic
   /// SaveWorkspace), so a restarted server can load_workspace it back.

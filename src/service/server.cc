@@ -18,7 +18,6 @@
 #include "typing/gfp.h"
 #include "typing/incremental.h"
 #include "typing/program_io.h"
-#include "typing/recast.h"
 #include "util/string_util.h"
 
 namespace schemex::service {
@@ -45,8 +44,8 @@ Value MisfitFields(const catalog::Workspace& ws) {
           ? 0.0
           : static_cast<double>(fallback) /
                 static_cast<double>(ws.delta_arrivals));
-  m["retype_recommended"] = Value::Bool(
-      typing::IncrementalTyper::RetypeRecommended(ws.delta_arrivals, fallback));
+  m["retype_recommended"] =
+      Value::Bool(typing::RetypeRecommended(ws.delta_arrivals, fallback));
   return Value::Object(std::move(m));
 }
 
@@ -78,14 +77,51 @@ std::map<std::string, Value> WorkspaceSummaryFields(
     d["overlay_bytes"] = JsonUint(ws.overlay->MemoryUsage());
     f["overlay"] = Value::Object(std::move(d));
   }
-  f["retype_recommended"] = Value::Bool(typing::IncrementalTyper::
-      RetypeRecommended(ws.delta_arrivals,
-                        ws.delta_arrivals - ws.delta_exact));
+  f["retype_recommended"] = Value::Bool(typing::RetypeRecommended(
+      ws.delta_arrivals, ws.delta_arrivals - ws.delta_exact));
   return f;
 }
 
 Value WorkspaceSummary(const std::string& name, const catalog::Workspace& ws) {
   return Value::Object(WorkspaceSummaryFields(name, ws));
+}
+
+/// The response fields extract and re_extract share: type counts, the
+/// defect, recast tallies and per-stage wall time. The stage times are
+/// also folded into the per-stage histograms (extract.stage1, ...) that
+/// `stats` reports.
+void AddExtractionFields(const extract::ExtractionResult& result,
+                         MetricsRegistry* metrics,
+                         std::map<std::string, Value>* f) {
+  (*f)["num_perfect_types"] = JsonUint(result.num_perfect_types);
+  (*f)["num_final_types"] = JsonUint(result.num_final_types);
+  {
+    std::map<std::string, Value> d;
+    d["excess"] = JsonUint(result.defect.excess);
+    d["deficit"] = JsonUint(result.defect.deficit);
+    d["defect"] = JsonUint(result.defect.defect());
+    (*f)["defect"] = Value::Object(std::move(d));
+  }
+  {
+    std::map<std::string, Value> r;
+    r["exact"] = JsonUint(result.recast.num_exact);
+    r["fallback"] = JsonUint(result.recast.num_fallback);
+    r["untyped"] = JsonUint(result.recast.num_untyped);
+    (*f)["recast"] = Value::Object(std::move(r));
+  }
+  const extract::StageTimings& t = result.timings;
+  std::map<std::string, Value> tf;
+  tf["stage1_ms"] = Value::Number(t.stage1_ms);
+  tf["cluster_ms"] = Value::Number(t.cluster_ms);
+  tf["recast_ms"] = Value::Number(t.recast_ms);
+  tf["total_ms"] = Value::Number(t.total_ms);
+  (*f)["timings"] = Value::Object(std::move(tf));
+  metrics->Record("extract.stage1", t.stage1_ms, /*ok=*/true,
+                  /*timeout=*/false);
+  metrics->Record("extract.cluster", t.cluster_ms, /*ok=*/true,
+                  /*timeout=*/false);
+  metrics->Record("extract.recast", t.recast_ms, /*ok=*/true,
+                  /*timeout=*/false);
 }
 
 /// Turns an absolute deadline into a cooperative-cancellation hook for
@@ -117,34 +153,44 @@ double Server::EffectiveTimeout(const Request& req) const {
   return req.timeout_s > 0 ? req.timeout_s : options_.default_timeout_s;
 }
 
+Response Server::Execute(const Request& req, Clock::time_point arrival,
+                         double timeout_s) {
+  Response resp;
+  resp.id = req.id;
+  const double queued_s = SecondsSince(arrival, Clock::now());
+  if (timeout_s > 0 && queued_s > timeout_s) {
+    resp.status = util::Status::DeadlineExceeded(util::StringPrintf(
+        "request spent %.3fs queued, budget %.3fs", queued_s, timeout_s));
+    return resp;
+  }
+  const Clock::time_point deadline =
+      timeout_s > 0 ? arrival + std::chrono::duration_cast<Clock::duration>(
+                                    std::chrono::duration<double>(timeout_s))
+                    : Clock::time_point::max();
+  auto result = Dispatch(req, deadline);
+  if (result.ok()) {
+    resp.result = *std::move(result);
+  } else {
+    resp.status = result.status();
+  }
+  return resp;
+}
+
+void Server::RecordOutcome(const Request& req, double latency_ms,
+                           const util::Status& status) {
+  metrics_.Record(std::string(VerbToString(req.verb)), latency_ms,
+                  status.ok(),
+                  status.code() == util::StatusCode::kDeadlineExceeded);
+}
+
 void Server::HandleAsync(Request req, std::function<void(Response)> done) {
   const Clock::time_point arrival = Clock::now();
   const double timeout_s = EffectiveTimeout(req);
   pool_->Submit([this, req = std::move(req), done = std::move(done), arrival,
                  timeout_s]() {
-    Response resp;
-    resp.id = req.id;
-    const double queued_s = SecondsSince(arrival, Clock::now());
-    if (timeout_s > 0 && queued_s > timeout_s) {
-      resp.status = util::Status::DeadlineExceeded(util::StringPrintf(
-          "request spent %.3fs queued, budget %.3fs", queued_s, timeout_s));
-    } else {
-      const Clock::time_point deadline =
-          timeout_s > 0
-              ? arrival + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(timeout_s))
-              : Clock::time_point::max();
-      auto result = Dispatch(req, deadline);
-      if (result.ok()) {
-        resp.result = *std::move(result);
-      } else {
-        resp.status = result.status();
-      }
-    }
-    const double latency_ms = SecondsSince(arrival, Clock::now()) * 1e3;
-    metrics_.Record(
-        std::string(VerbToString(req.verb)), latency_ms, resp.status.ok(),
-        resp.status.code() == util::StatusCode::kDeadlineExceeded);
+    Response resp = Execute(req, arrival, timeout_s);
+    RecordOutcome(req, SecondsSince(arrival, Clock::now()) * 1e3,
+                  resp.status);
     done(resp);
   });
 }
@@ -165,31 +211,11 @@ Response Server::Handle(const Request& req) {
   std::future<Response> future = state->promise.get_future();
 
   pool_->Submit([this, req, state, arrival, timeout_s]() {
-    Response resp;
-    resp.id = req.id;
-    const double queued_s = SecondsSince(arrival, Clock::now());
-    if (timeout_s > 0 && queued_s > timeout_s) {
-      resp.status = util::Status::DeadlineExceeded(util::StringPrintf(
-          "request spent %.3fs queued, budget %.3fs", queued_s, timeout_s));
-    } else {
-      const Clock::time_point deadline =
-          timeout_s > 0
-              ? arrival + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(timeout_s))
-              : Clock::time_point::max();
-      auto result = Dispatch(req, deadline);
-      if (result.ok()) {
-        resp.result = *std::move(result);
-      } else {
-        resp.status = result.status();
-      }
-    }
+    Response resp = Execute(req, arrival, timeout_s);
     bool expected = false;
     if (state->delivered.compare_exchange_strong(expected, true)) {
-      const double latency_ms = SecondsSince(arrival, Clock::now()) * 1e3;
-      metrics_.Record(
-          std::string(VerbToString(req.verb)), latency_ms, resp.status.ok(),
-          resp.status.code() == util::StatusCode::kDeadlineExceeded);
+      RecordOutcome(req, SecondsSince(arrival, Clock::now()) * 1e3,
+                    resp.status);
       state->promise.set_value(std::move(resp));
     }
   });
@@ -205,8 +231,7 @@ Response Server::Handle(const Request& req) {
             "request exceeded its %.3fs budget (worker still running; "
             "result discarded)",
             timeout_s));
-        metrics_.Record(std::string(VerbToString(req.verb)), timeout_s * 1e3,
-                        /*ok=*/false, /*timeout=*/true);
+        RecordOutcome(req, timeout_s * 1e3, resp.status);
         return resp;
       }
       // The worker delivered in the race window; fall through and take
@@ -366,38 +391,7 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
   f["workspace"] = Value::String(p.workspace);
   f["k"] = JsonUint(chosen_k);
   f["auto_k"] = Value::Bool(auto_k);
-  f["num_perfect_types"] = JsonUint(result.num_perfect_types);
-  f["num_final_types"] = JsonUint(result.num_final_types);
-  {
-    std::map<std::string, Value> d;
-    d["excess"] = JsonUint(result.defect.excess);
-    d["deficit"] = JsonUint(result.defect.deficit);
-    d["defect"] = JsonUint(result.defect.defect());
-    f["defect"] = Value::Object(std::move(d));
-  }
-  {
-    std::map<std::string, Value> r;
-    r["exact"] = JsonUint(result.recast.num_exact);
-    r["fallback"] = JsonUint(result.recast.num_fallback);
-    r["untyped"] = JsonUint(result.recast.num_untyped);
-    f["recast"] = Value::Object(std::move(r));
-  }
-  {
-    // Per-stage wall time, echoed in the response and folded into
-    // per-stage histograms (extract.stage1, ...) surfaced via `stats`.
-    std::map<std::string, Value> t;
-    t["stage1_ms"] = Value::Number(result.timings.stage1_ms);
-    t["cluster_ms"] = Value::Number(result.timings.cluster_ms);
-    t["recast_ms"] = Value::Number(result.timings.recast_ms);
-    t["total_ms"] = Value::Number(result.timings.total_ms);
-    f["timings"] = Value::Object(std::move(t));
-    metrics_.Record("extract.stage1", result.timings.stage1_ms,
-                    /*ok=*/true, /*timeout=*/false);
-    metrics_.Record("extract.cluster", result.timings.cluster_ms,
-                    /*ok=*/true, /*timeout=*/false);
-    metrics_.Record("extract.recast", result.timings.recast_ms,
-                    /*ok=*/true, /*timeout=*/false);
-  }
+  AddExtractionFields(result, &metrics_, &f);
   if (!p.save_dir.empty()) f["saved_to"] = Value::String(p.save_dir);
 
   PutWorkspace(p.workspace, std::move(next));
@@ -646,33 +640,19 @@ util::StatusOr<json::Value> Server::HandleApplyDelta(const ApplyDeltaParams& p) 
   batch_touched.erase(std::unique(batch_touched.begin(), batch_touched.end()),
                       batch_touched.end());
 
-  // Online typing (§6): each new complex object joins every type it
-  // satisfies exactly; a misfit falls back to the nearest type by the
-  // simple distance. Counters feed the retype recommendation.
-  graph::GraphView view(*overlay);
+  // Online typing (§6) of the new objects against the workspace schema
+  // (a workspace without an assignment has no schema to type against).
+  // Counters feed the retype recommendation.
   typing::TypeAssignment tau = snapshot->assignment;
-  if (tau.NumObjects() != 0) tau.Resize(view.NumObjects());
   size_t arrivals = 0, exact = 0;
-  if (snapshot->program.NumTypes() > 0 && tau.NumObjects() != 0) {
-    for (graph::ObjectId id : new_ids) {
-      if (view.IsAtomic(id)) continue;
-      ++arrivals;
-      bool fits = false;
-      for (size_t t = 0; t < snapshot->program.NumTypes(); ++t) {
-        typing::TypeId tid = static_cast<typing::TypeId>(t);
-        if (typing::SatisfiesUnderAssignment(
-                snapshot->program.type(tid).signature, view, tau, id)) {
-          tau.Assign(id, tid);
-          fits = true;
-        }
-      }
-      if (fits) {
-        ++exact;
-        continue;
-      }
-      typing::TypeId nearest =
-          typing::NearestType(snapshot->program, view, tau, id);
-      if (nearest != typing::kInvalidType) tau.Assign(id, nearest);
+  if (tau.NumObjects() != 0) {
+    SCHEMEX_ASSIGN_OR_RETURN(
+        std::vector<typing::ArrivalTyping> typed,
+        typing::TypeArrivals(snapshot->program, graph::GraphView(*overlay),
+                             new_ids, &tau));
+    arrivals = typed.size();
+    for (const typing::ArrivalTyping& a : typed) {
+      if (!a.exact_types.empty()) ++exact;
     }
   }
 
@@ -793,36 +773,7 @@ util::StatusOr<json::Value> Server::HandleReExtract(
   f["workspace"] = Value::String(p.workspace);
   f["k"] = JsonUint(chosen_k);
   f["generation"] = JsonUint(next.generation);
-  f["num_perfect_types"] = JsonUint(result.num_perfect_types);
-  f["num_final_types"] = JsonUint(result.num_final_types);
-  {
-    std::map<std::string, Value> d;
-    d["excess"] = JsonUint(result.defect.excess);
-    d["deficit"] = JsonUint(result.defect.deficit);
-    d["defect"] = JsonUint(result.defect.defect());
-    f["defect"] = Value::Object(std::move(d));
-  }
-  {
-    std::map<std::string, Value> r;
-    r["exact"] = JsonUint(result.recast.num_exact);
-    r["fallback"] = JsonUint(result.recast.num_fallback);
-    r["untyped"] = JsonUint(result.recast.num_untyped);
-    f["recast"] = Value::Object(std::move(r));
-  }
-  {
-    std::map<std::string, Value> t;
-    t["stage1_ms"] = Value::Number(result.timings.stage1_ms);
-    t["cluster_ms"] = Value::Number(result.timings.cluster_ms);
-    t["recast_ms"] = Value::Number(result.timings.recast_ms);
-    t["total_ms"] = Value::Number(result.timings.total_ms);
-    f["timings"] = Value::Object(std::move(t));
-    metrics_.Record("extract.stage1", result.timings.stage1_ms,
-                    /*ok=*/true, /*timeout=*/false);
-    metrics_.Record("extract.cluster", result.timings.cluster_ms,
-                    /*ok=*/true, /*timeout=*/false);
-    metrics_.Record("extract.recast", result.timings.recast_ms,
-                    /*ok=*/true, /*timeout=*/false);
-  }
+  AddExtractionFields(result, &metrics_, &f);
   {
     std::map<std::string, Value> i;
     i["stage1_incremental"] = Value::Bool(rstats.incremental_stage1);

@@ -22,11 +22,11 @@ struct ServerOptions {
   /// Wall-clock budget applied when a request does not set timeout_s.
   /// 0 disables the default (requests may still set their own).
   double default_timeout_s = 60.0;
-  /// Parallelism for all three extraction stages, applied when an extract
-  /// request leaves its "parallelism" field at 0: 0 = auto (hardware
-  /// concurrency, moderated by graph size), 1 = sequential reference
-  /// path, N = exactly N workers. Extract results are identical for
-  /// every setting.
+  /// Parallelism for the sharded extraction stages (1 and 3), applied
+  /// when an extract request leaves its "parallelism" field at 0: 0 =
+  /// auto (hardware concurrency, moderated by graph size), 1 = inline,
+  /// N = exactly N workers. Extract results are identical for every
+  /// setting.
   size_t default_parallelism = 0;
 };
 
@@ -91,6 +91,16 @@ class Server {
 
   /// Resolves the effective budget for a request (0 = unlimited).
   double EffectiveTimeout(const Request& req) const;
+
+  /// The worker's half of Handle/HandleAsync: fails a request that
+  /// out-waited its budget in the queue, otherwise dispatches it with the
+  /// absolute deadline `arrival + timeout_s`.
+  Response Execute(const Request& req, Clock::time_point arrival,
+                   double timeout_s);
+
+  /// Folds one request's outcome into its verb's latency histogram.
+  void RecordOutcome(const Request& req, double latency_ms,
+                     const util::Status& status);
 
   /// Runs the verb handler (on a pool worker). `deadline` is the absolute
   /// point at which the request's budget expires (`Clock::time_point::max()`

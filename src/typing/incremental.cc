@@ -1,5 +1,11 @@
 #include "typing/incremental.h"
 
+#include <optional>
+
+#include "typing/bit_signature.h"
+#include "typing/recast.h"
+#include "util/string_util.h"
+
 namespace schemex::typing {
 
 bool SatisfiesUnderAssignment(const TypeSignature& sig, graph::GraphView g,
@@ -29,80 +35,57 @@ bool SatisfiesUnderAssignment(const TypeSignature& sig, graph::GraphView g,
   return true;
 }
 
-IncrementalTyper::IncrementalTyper(TypingProgram program,
-                                   graph::DataGraph base,
-                                   TypeAssignment assignment)
-    : program_(std::move(program)),
-      graph_(std::move(base)),
-      assignment_(std::move(assignment)),
-      index_(program_) {
-  assignment_.Resize(graph_.NumObjects());
-  type_encs_.resize(program_.NumTypes());
-  for (size_t t = 0; t < program_.NumTypes(); ++t) {
-    type_encs_[t] =
-        index_.EncodeFrozen(program_.type(static_cast<TypeId>(t)).signature);
-  }
-}
-
-util::StatusOr<IncrementalTyper::TypedObject> IncrementalTyper::AddAndType(
-    const NewObject& object) {
-  // Validate references before mutating anything.
-  for (const auto& [label, target] : object.refs) {
-    if (target >= graph_.NumObjects()) {
-      return util::Status::InvalidArgument("reference target out of range");
+util::StatusOr<std::vector<ArrivalTyping>> TypeArrivals(
+    const TypingProgram& program, graph::GraphView g,
+    std::span<const graph::ObjectId> arrivals, TypeAssignment* tau) {
+  for (graph::ObjectId o : arrivals) {
+    if (o >= g.NumObjects()) {
+      return util::Status::InvalidArgument(util::StringPrintf(
+          "arrival %u out of range (n=%zu)", o, g.NumObjects()));
     }
   }
-  TypedObject result;
-  result.id = graph_.AddComplex(object.name);
-  for (const auto& [label, value] : object.fields) {
-    graph::ObjectId atom = graph_.AddAtomic(value);
-    SCHEMEX_RETURN_IF_ERROR(graph_.AddEdge(result.id, atom, label));
-  }
-  for (const auto& [label, target] : object.refs) {
-    SCHEMEX_RETURN_IF_ERROR(graph_.AddEdge(result.id, target, label));
-  }
-  assignment_.Resize(graph_.NumObjects());
+  tau->Resize(g.NumObjects());
+  std::vector<ArrivalTyping> typed;
+  if (program.NumTypes() == 0) return typed;
 
-  for (size_t t = 0; t < program_.NumTypes(); ++t) {
-    if (SatisfiesUnderAssignment(
-            program_.type(static_cast<TypeId>(t)).signature, graph_,
-            assignment_, result.id)) {
-      result.exact_types.push_back(static_cast<TypeId>(t));
+  // The bit kernel over the program is packed on the first misfit, then
+  // reused: exact fits never probe distances. Links outside the program
+  // universe (e.g. fresh labels on arrivals) ride in EncodeFrozen extras.
+  std::optional<BitSignatureIndex> index;
+  std::vector<BitSignature> type_encs;
+  for (graph::ObjectId o : arrivals) {
+    if (!g.IsComplex(o)) continue;
+    ArrivalTyping a;
+    a.id = o;
+    for (size_t t = 0; t < program.NumTypes(); ++t) {
+      const TypeId tid = static_cast<TypeId>(t);
+      if (SatisfiesUnderAssignment(program.type(tid).signature, g, *tau, o)) {
+        a.exact_types.push_back(tid);
+      }
     }
+    for (TypeId t : a.exact_types) tau->Assign(o, t);
+    if (a.exact_types.empty()) {
+      if (!index) {
+        index.emplace(program);
+        type_encs.reserve(program.NumTypes());
+        for (const TypeDef& def : program.types()) {
+          type_encs.push_back(index->EncodeFrozen(def.signature));
+        }
+      }
+      a.fallback_type = NearestTypeIndexed(g, *tau, o, *index, type_encs,
+                                           &a.fallback_distance);
+      tau->Assign(o, a.fallback_type);
+    }
+    typed.push_back(std::move(a));
   }
-  ++num_added_;
-  if (!result.exact_types.empty()) {
-    ++num_exact_;
-    for (TypeId t : result.exact_types) assignment_.Assign(result.id, t);
-  } else if (program_.NumTypes() > 0) {
-    result.fallback_type =
-        NearestTypeIndexed(graph_, assignment_, result.id, index_, type_encs_,
-                           &result.fallback_distance);
-    assignment_.Assign(result.id, result.fallback_type);
-    total_fallback_distance_ += result.fallback_distance;
-  }
-  return result;
+  return typed;
 }
 
-double IncrementalTyper::MeanFallbackDistance() const {
-  size_t fallbacks = num_fallback();
-  return fallbacks == 0 ? 0.0
-                        : static_cast<double>(total_fallback_distance_) /
-                              static_cast<double>(fallbacks);
-}
-
-bool IncrementalTyper::RetypeRecommended(double misfit_fraction,
-                                         size_t min_arrivals) const {
-  return RetypeRecommended(num_added_, num_fallback(), misfit_fraction,
-                           min_arrivals);
-}
-
-bool IncrementalTyper::RetypeRecommended(size_t num_added, size_t num_fallback,
-                                         double misfit_fraction,
-                                         size_t min_arrivals) {
-  if (num_added < min_arrivals) return false;
+bool RetypeRecommended(size_t num_arrivals, size_t num_fallback,
+                       double misfit_fraction, size_t min_arrivals) {
+  if (num_arrivals < min_arrivals) return false;
   return static_cast<double>(num_fallback) >
-         misfit_fraction * static_cast<double>(num_added);
+         misfit_fraction * static_cast<double>(num_arrivals);
 }
 
 }  // namespace schemex::typing

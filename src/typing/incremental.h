@@ -1,15 +1,11 @@
 #ifndef SCHEMEX_TYPING_INCREMENTAL_H_
 #define SCHEMEX_TYPING_INCREMENTAL_H_
 
-#include <string>
-#include <utility>
+#include <span>
 #include <vector>
 
-#include "graph/data_graph.h"
 #include "graph/graph_view.h"
 #include "typing/assignment.h"
-#include "typing/bit_signature.h"
-#include "typing/recast.h"
 #include "typing/typing_program.h"
 #include "util/statusor.h"
 
@@ -17,11 +13,19 @@ namespace schemex::typing {
 
 /// Witness check under an assignment (not GFP extents): the §6 "assign
 /// the new objects to all types that it satisfies completely" test,
-/// where neighbors count through their *assigned* types. Shared by
-/// IncrementalTyper and the service's apply_delta online typing (which
-/// probes over a DeltaOverlay view instead of an owned DataGraph).
+/// where neighbors count through their *assigned* types.
 bool SatisfiesUnderAssignment(const TypeSignature& sig, graph::GraphView g,
                               const TypeAssignment& tau, graph::ObjectId o);
+
+/// What online typing did with one arrival.
+struct ArrivalTyping {
+  graph::ObjectId id = graph::kInvalidObject;
+  /// Types satisfied completely (empty if none).
+  std::vector<TypeId> exact_types;
+  /// Nearest type when exact_types is empty.
+  TypeId fallback_type = kInvalidType;
+  size_t fallback_distance = 0;
+};
 
 /// Online typing of objects arriving after extraction (§6): "First we
 /// assign the new objects to all types that it satisfies completely. If
@@ -30,80 +34,26 @@ bool SatisfiesUnderAssignment(const TypeSignature& sig, graph::GraphView g,
 /// course, if we have many new objects we may wish to reconsider the
 /// current typing program."
 ///
-/// IncrementalTyper owns a growing copy of the database plus the frozen
-/// typing program, types each arrival by the rule above, and tracks how
-/// well arrivals fit so the caller can decide when re-extraction is due
-/// (the paper leaves "how many new objects is too many" open; we expose
-/// the misfit statistics and a simple threshold helper).
-class IncrementalTyper {
- public:
-  /// A new complex object: atomic fields (label -> value) plus references
-  /// to existing objects (label -> target id).
-  struct NewObject {
-    std::string name;
-    std::vector<std::pair<std::string, std::string>> fields;
-    std::vector<std::pair<std::string, graph::ObjectId>> refs;
-  };
+/// `g` is the graph with the arrivals already added (typically a
+/// DeltaOverlay over the extracted snapshot) and `tau` the assignment
+/// from before they arrived; it is resized to g.NumObjects() and gains
+/// each arrival's types. Complex arrivals are typed in the given order
+/// (atomic ones are skipped), each judged against the assignment as it
+/// stands when its turn comes, so an arrival may lean on an earlier
+/// arrival's types. Returns one entry per complex arrival; an empty
+/// program types nothing. Fails with InvalidArgument, before touching
+/// `tau`, if an id is outside `g`.
+util::StatusOr<std::vector<ArrivalTyping>> TypeArrivals(
+    const TypingProgram& program, graph::GraphView g,
+    std::span<const graph::ObjectId> arrivals, TypeAssignment* tau);
 
-  struct TypedObject {
-    graph::ObjectId id = graph::kInvalidObject;
-    /// Types satisfied completely (empty if none).
-    std::vector<TypeId> exact_types;
-    /// Nearest type when exact_types is empty.
-    TypeId fallback_type = kInvalidType;
-    size_t fallback_distance = 0;
-  };
-
-  /// Takes ownership of a snapshot of the database and the Stage-3
-  /// assignment produced by extraction.
-  IncrementalTyper(TypingProgram program, graph::DataGraph base,
-                   TypeAssignment assignment);
-
-  /// Adds the object and its edges to the database, types it, updates the
-  /// assignment, and returns what happened. Reference targets must exist.
-  util::StatusOr<TypedObject> AddAndType(const NewObject& object);
-
-  size_t num_added() const { return num_added_; }
-  size_t num_exact() const { return num_exact_; }
-  size_t num_fallback() const { return num_added_ - num_exact_; }
-
-  /// Mean nearest-type distance over fallback arrivals (0 if none).
-  double MeanFallbackDistance() const;
-
-  /// True when more than `misfit_fraction` of (at least `min_arrivals`)
-  /// arrivals needed the distance fallback — the signal to re-run
-  /// extraction on the accumulated data.
-  bool RetypeRecommended(double misfit_fraction = 0.25,
-                         size_t min_arrivals = 10) const;
-
-  /// The same threshold rule over externally tracked counters, for
-  /// callers (the service's apply_delta path) that type arrivals without
-  /// owning an IncrementalTyper: true when more than `misfit_fraction`
-  /// of at least `min_arrivals` arrivals needed the distance fallback.
-  static bool RetypeRecommended(size_t num_added, size_t num_fallback,
-                                double misfit_fraction = 0.25,
-                                size_t min_arrivals = 10);
-
-  const graph::DataGraph& graph() const { return graph_; }
-  const TypeAssignment& assignment() const { return assignment_; }
-  const TypingProgram& program() const { return program_; }
-
- private:
-  TypingProgram program_;
-  graph::DataGraph graph_;
-  TypeAssignment assignment_;
-  /// Bit kernel over the frozen program, built once: arrivals probe the
-  /// nearest type repeatedly against the same signatures, so the sorted
-  /// vectors are packed up front (links outside the program universe —
-  /// e.g. fresh labels on arrivals — ride in EncodeFrozen extras).
-  BitSignatureIndex index_;
-  // OWNER: index_ (bit positions decode only against the index that
-  // assigned them; both are rebuilt together on Reset).
-  std::vector<BitSignature> type_encs_;
-  size_t num_added_ = 0;
-  size_t num_exact_ = 0;
-  size_t total_fallback_distance_ = 0;
-};
+/// The paper leaves "how many new objects is too many" open; this is
+/// the threshold rule: true when more than `misfit_fraction` of at least
+/// `min_arrivals` arrivals needed the distance fallback — the signal to
+/// re-run extraction on the accumulated data.
+bool RetypeRecommended(size_t num_arrivals, size_t num_fallback,
+                       double misfit_fraction = 0.25,
+                       size_t min_arrivals = 10);
 
 }  // namespace schemex::typing
 

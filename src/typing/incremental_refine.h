@@ -43,8 +43,8 @@ struct IncrementalRefineStats {
 };
 
 /// Incremental Stage 1: re-refines `previous` — a partition produced by
-/// PerfectTypingViaRefinement / ViaHashRefinement on an earlier version
-/// of the graph — into the perfect typing of `g`, touching only the
+/// PerfectTypingViaHashRefinement on an earlier version of the graph —
+/// into the perfect typing of `g`, touching only the
 /// changed neighbourhood instead of restarting.
 ///
 /// `touched` seeds the dirty set: every complex object whose local

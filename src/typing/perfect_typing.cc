@@ -1,7 +1,6 @@
 #include "typing/perfect_typing.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 #include <utility>
 
@@ -161,48 +160,14 @@ util::StatusOr<PerfectTypingResult> PerfectTypingViaGfp(
   return internal::AssembleRefinementResult(g, class_of, num_classes, "type");
 }
 
-util::StatusOr<PerfectTypingResult> PerfectTypingViaRefinement(
-    graph::GraphView g) {
-  const size_t n = g.NumObjects();
-  std::vector<TypeId> block(n, kInvalidType);
-  std::vector<graph::ObjectId> complex_objects;
-  for (graph::ObjectId o = 0; o < n; ++o) {
-    if (g.IsComplex(o)) {
-      block[o] = 0;
-      complex_objects.push_back(o);
-    }
-  }
-  size_t num_blocks = complex_objects.empty() ? 0 : 1;
-
-  // Iterate: split blocks by (previous block, local picture over previous
-  // blocks). Partitions only get finer, so the block count is a monotone
-  // progress measure; stop when a round does not increase it.
-  for (;;) {
-    using Key = std::pair<TypeId, TypeSignature>;
-    std::map<Key, TypeId> next_id;
-    std::vector<TypeId> next_block(n, kInvalidType);
-    for (graph::ObjectId o : complex_objects) {
-      Key key{block[o], LocalPicture(g, o, block)};  // split within old block
-      auto it = next_id.try_emplace(std::move(key),
-                                    static_cast<TypeId>(next_id.size()))
-                    .first;
-      next_block[o] = it->second;
-    }
-    size_t next_count = next_id.size();
-    block = std::move(next_block);
-    if (next_count == num_blocks) break;
-    num_blocks = next_count;
-  }
-  return internal::AssembleRefinementResult(g, block, num_blocks, "type");
-}
-
 util::StatusOr<PerfectTypingResult> PerfectTypingViaHashRefinement(
     graph::GraphView g, const ExecOptions& options) {
   if (g.labels().size() >= (1ULL << 31)) {
     // The 64-bit link encoding reserves 31 bits for the label; beyond that
-    // the packing is no longer injective, so fall back to the exact
-    // reference path rather than risk an unsound partition.
-    return PerfectTypingViaRefinement(g);
+    // the packing is no longer injective and the partition could be wrong.
+    return util::Status::InvalidArgument(util::StringPrintf(
+        "%zu labels exceed the 2^31 label ids Stage-1 refinement can encode",
+        g.labels().size()));
   }
 
   const size_t n = g.NumObjects();
@@ -249,12 +214,12 @@ util::StatusOr<PerfectTypingResult> PerfectTypingViaHashRefinement(
   std::unordered_map<uint64_t, std::vector<BlockEntry>> table;
 
   // Iterate: split blocks by (previous block, local picture over previous
-  // blocks), same monotone progress measure as the reference path. Each
+  // blocks). Partitions only get finer, so the block count is a monotone
+  // progress measure; stop when a round does not increase it. Each
   // round: a sharded hashing phase (read-only over the graph and `block`,
   // writing disjoint slices of the per-index arrays), then a sequential
-  // reduce assigning block ids by first occurrence in object order —
-  // exactly the numbering std::map::try_emplace produced in the reference
-  // implementation, and independent of the thread count.
+  // reduce assigning block ids by first occurrence in object order, so
+  // the numbering is independent of the thread count.
   for (;;) {
     SCHEMEX_RETURN_IF_ERROR(options.Poll());
     if (num_complex == 0) break;

@@ -49,17 +49,9 @@ util::StatusOr<PerfectTypingResult> PerfectTypingViaGfp(
 /// coarsest partition where equivalent objects have identical local
 /// pictures up to the partition — the same partition PerfectTypingViaGfp
 /// computes on databases where extent-equality coincides with local-
-/// picture-equality (verified against the GFP method in tests).
-///
-/// This is the sequential reference implementation (one TypeSignature +
-/// ordered-map key per object per round); production paths use
-/// PerfectTypingViaHashRefinement, which is pinned bit-identical to it.
-util::StatusOr<PerfectTypingResult> PerfectTypingViaRefinement(
-    graph::GraphView g);
-
-/// Allocation-lean, optionally parallel partition refinement. Computes
-/// exactly the partition (and block numbering, and program) of
-/// PerfectTypingViaRefinement:
+/// picture-equality (verified against the GFP method in tests). Blocks
+/// are numbered by first occurrence in object order; the textbook
+/// std::map formulation in tests/refinement_oracle.h pins that numbering.
 ///
 ///  - Per round, each complex object's local picture is folded into a
 ///    64-bit hash combined with its previous block id — no TypeSignature
@@ -74,6 +66,8 @@ util::StatusOr<PerfectTypingResult> PerfectTypingViaRefinement(
 ///    for any thread count.
 ///  - options.check_cancel is polled between rounds, making long extracts
 ///    cancellable mid-Stage-1.
+///  - Fails with InvalidArgument when the graph has 2^31 or more labels:
+///    the 64-bit link encoding reserves 31 bits for the label.
 util::StatusOr<PerfectTypingResult> PerfectTypingViaHashRefinement(
     graph::GraphView g, const ExecOptions& options = {});
 

@@ -80,7 +80,7 @@ TypeId NearestType(const TypingProgram& program, graph::GraphView g,
 /// (one per type, in type order). Out-of-universe picture links are
 /// tallied via EncodeFrozen extras, so the result — including the
 /// tie-break toward the lowest type id — is identical to NearestType.
-/// Callers that probe repeatedly (the Recast fallback, IncrementalTyper)
+/// Callers that probe repeatedly (the Recast fallback, TypeArrivals)
 /// build the index once instead of re-merging sorted vectors per probe.
 TypeId NearestTypeIndexed(graph::GraphView g, const TypeAssignment& tau,
                           graph::ObjectId o, const BitSignatureIndex& index,

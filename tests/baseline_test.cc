@@ -125,7 +125,7 @@ TEST(RepObjectsTest, OutgoingOnlyIsCoarserThanStage1) {
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
   size_t ro = FullRepObjectClassCount(g);
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   EXPECT_LE(ro, stage1.program.NumTypes());
 }
 

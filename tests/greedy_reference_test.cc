@@ -116,7 +116,7 @@ TEST_P(GreedyDifferential, MatchesNaiveReference) {
   gopt.num_labels = 4;
   gopt.seed = seed;
   graph::DataGraph g = gen::RandomGraph(gopt);
-  auto stage1 = typing::PerfectTypingViaRefinement(g);
+  auto stage1 = typing::PerfectTypingViaHashRefinement(g);
   ASSERT_TRUE(stage1.ok());
   if (stage1->program.NumTypes() < 5) GTEST_SKIP();
 

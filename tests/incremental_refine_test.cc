@@ -15,6 +15,7 @@
 #include "graph/delta_overlay.h"
 #include "graph/frozen_graph.h"
 #include "graph/graph_view.h"
+#include "tests/refinement_oracle.h"
 #include "tests/test_util.h"
 #include "typing/incremental_refine.h"
 #include "typing/perfect_typing.h"
@@ -35,7 +36,7 @@ void ExpectSameTyping(const PerfectTypingResult& want,
 }
 
 /// Cold reference over `g` (the engine the incremental path is pinned
-/// against, itself pinned to the sequential reference elsewhere).
+/// against, itself pinned to the refinement oracle elsewhere).
 PerfectTypingResult Cold(GraphView g, size_t threads) {
   ExecOptions exec;
   exec.num_threads = threads;
@@ -181,7 +182,7 @@ TEST(IncrementalRefineTest, ForcedHashCollisions) {
 }
 
 TEST(IncrementalRefineTest, SequentialReferenceAgreesOnMutatedGraph) {
-  // Cross-engine anchor: the sequential reference refinement over the
+  // Cross-engine anchor: the std::map refinement oracle over the
   // mutated graph matches the incremental result exactly (hash
   // refinement is pinned to it elsewhere; this closes the triangle).
   ASSERT_OK_AND_ASSIGN(DataGraph base, gen::MakeDbgDataset(3));
@@ -192,9 +193,9 @@ TEST(IncrementalRefineTest, SequentialReferenceAgreesOnMutatedGraph) {
   auto inc =
       IncrementalRefine(GraphView(ov), previous, ov.TouchedComplexObjects());
   ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-  auto seq = PerfectTypingViaRefinement(GraphView(ov));
+  auto seq = MapRefinementOracle(GraphView(ov));
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-  ExpectSameTyping(*seq, *inc, "sequential reference");
+  ExpectSameTyping(*seq, *inc, "refinement oracle");
 }
 
 TEST(IncrementalRefineTest, RejectsInvalidInputs) {

@@ -1,12 +1,53 @@
+// §6 online typing of arrivals (TypeArrivals) over a DeltaOverlay: the
+// same path the service's apply_delta verb takes.
+
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "extract/extractor.h"
 #include "gen/dbg.h"
+#include "graph/delta_overlay.h"
+#include "graph/frozen_graph.h"
 #include "tests/test_util.h"
 #include "typing/incremental.h"
 
 namespace schemex::typing {
 namespace {
+
+using graph::DeltaOverlay;
+using graph::ObjectId;
+
+/// A record arriving after extraction: atomic fields (label -> value)
+/// plus references to existing objects (label -> target id).
+struct Record {
+  std::vector<std::pair<std::string, std::string>> fields;
+  std::vector<std::pair<std::string, ObjectId>> refs;
+};
+
+/// Adds `rec` to `ov` as a new complex object and returns its id.
+ObjectId AddRecord(DeltaOverlay& ov, const Record& rec) {
+  ObjectId id = ov.AddComplex();
+  for (const auto& [label, value] : rec.fields) {
+    EXPECT_OK(ov.AddEdge(id, ov.AddAtomic(value), label));
+  }
+  for (const auto& [label, target] : rec.refs) {
+    EXPECT_OK(ov.AddEdge(id, target, label));
+  }
+  return id;
+}
+
+/// Types one arrival and returns what happened to it.
+ArrivalTyping TypeOne(const TypingProgram& program, const DeltaOverlay& ov,
+                      ObjectId id, TypeAssignment* tau) {
+  auto typed = TypeArrivals(program, ov, std::vector<ObjectId>{id}, tau);
+  EXPECT_TRUE(typed.ok()) << typed.status().ToString();
+  EXPECT_EQ(typed->size(), 1u);
+  return typed->empty() ? ArrivalTyping{} : typed->front();
+}
 
 /// A fixture with a 1-type schema: person = {->name^0, ->email^0}.
 class IncrementalFixture : public ::testing::Test {
@@ -18,89 +59,86 @@ class IncrementalFixture : public ::testing::Test {
     ASSERT_OK(b.Edge("p1", "name", "n1"));
     ASSERT_OK(b.Edge("p1", "email", "e1"));
     util::Status st;
-    base_ = std::move(b).Build(&st);
+    graph::DataGraph base = std::move(b).Build(&st);
     ASSERT_OK(st);
-    name_ = base_.labels().Find("name");
-    email_ = base_.labels().Find("email");
-    program_.AddType("person",
-                     TypeSignature::FromLinks({TypedLink::OutAtomic(name_),
-                                               TypedLink::OutAtomic(email_)}));
-    TypeAssignment tau(base_.NumObjects());
-    tau.Assign(0, 0);
-    typer_ = std::make_unique<IncrementalTyper>(program_, base_, tau);
+    const graph::LabelInterner& labels = base.labels();
+    program_.AddType("person", TypeSignature::FromLinks(
+                                   {TypedLink::OutAtomic(labels.Find("name")),
+                                    TypedLink::OutAtomic(labels.Find("email"))}));
+    tau_ = TypeAssignment(base.NumObjects());
+    tau_.Assign(0, 0);
+    overlay_ = std::make_unique<DeltaOverlay>(graph::Freeze(base));
   }
 
-  graph::DataGraph base_;
-  graph::LabelId name_, email_;
   TypingProgram program_;
-  std::unique_ptr<IncrementalTyper> typer_;
+  TypeAssignment tau_;
+  std::unique_ptr<DeltaOverlay> overlay_;
 };
 
 TEST_F(IncrementalFixture, ExactFitAssignedDirectly) {
-  IncrementalTyper::NewObject rec;
-  rec.name = "p2";
-  rec.fields = {{"name", "grace"}, {"email", "grace@x"}};
-  ASSERT_OK_AND_ASSIGN(IncrementalTyper::TypedObject t,
-                       typer_->AddAndType(rec));
+  ObjectId id =
+      AddRecord(*overlay_, {{{"name", "grace"}, {"email", "grace@x"}}, {}});
+  ArrivalTyping t = TypeOne(program_, *overlay_, id, &tau_);
+  EXPECT_EQ(t.id, id);
   EXPECT_EQ(t.exact_types, (std::vector<TypeId>{0}));
-  EXPECT_EQ(typer_->num_exact(), 1u);
-  EXPECT_EQ(typer_->num_fallback(), 0u);
-  EXPECT_TRUE(typer_->assignment().Has(t.id, 0));
-  EXPECT_EQ(typer_->graph().NumComplexObjects(), 2u);
+  EXPECT_EQ(t.fallback_type, kInvalidType);
+  EXPECT_TRUE(tau_.Has(id, 0));
+  EXPECT_EQ(tau_.NumObjects(), overlay_->NumObjects());
+  EXPECT_EQ(graph::GraphView(*overlay_).NumComplexObjects(), 2u);
 }
 
 TEST_F(IncrementalFixture, MisfitFallsBackToNearest) {
-  IncrementalTyper::NewObject rec;
-  rec.name = "p3";
-  rec.fields = {{"name", "edsger"}};  // email missing
-  ASSERT_OK_AND_ASSIGN(IncrementalTyper::TypedObject t,
-                       typer_->AddAndType(rec));
+  ObjectId id = AddRecord(*overlay_, {{{"name", "edsger"}}, {}});  // no email
+  ArrivalTyping t = TypeOne(program_, *overlay_, id, &tau_);
   EXPECT_TRUE(t.exact_types.empty());
   EXPECT_EQ(t.fallback_type, 0);
   EXPECT_EQ(t.fallback_distance, 1u);
-  EXPECT_EQ(typer_->num_fallback(), 1u);
-  EXPECT_DOUBLE_EQ(typer_->MeanFallbackDistance(), 1.0);
-  EXPECT_TRUE(typer_->assignment().Has(t.id, 0));
+  EXPECT_TRUE(tau_.Has(id, 0));
 }
 
 TEST_F(IncrementalFixture, ReferencesToExistingObjects) {
-  IncrementalTyper::NewObject rec;
-  rec.name = "p4";
-  rec.fields = {{"name", "x"}, {"email", "x@x"}};
-  rec.refs = {{"friend", 0}};  // extra link — still an exact fit (GFP
-                               // semantics tolerates extra edges)
-  ASSERT_OK_AND_ASSIGN(IncrementalTyper::TypedObject t,
-                       typer_->AddAndType(rec));
-  EXPECT_EQ(t.exact_types.size(), 1u);
-  // Dangling reference rejected before mutation.
-  IncrementalTyper::NewObject bad;
-  bad.refs = {{"friend", 10'000}};
-  size_t before = typer_->graph().NumObjects();
-  EXPECT_FALSE(typer_->AddAndType(bad).ok());
-  EXPECT_EQ(typer_->graph().NumObjects(), before);
+  // An extra link is still an exact fit (GFP semantics tolerates extra
+  // edges).
+  ObjectId id = AddRecord(*overlay_,
+                          {{{"name", "x"}, {"email", "x@x"}}, {{"friend", 0}}});
+  EXPECT_EQ(TypeOne(program_, *overlay_, id, &tau_).exact_types.size(), 1u);
+
+  // An id outside the graph is rejected before the assignment changes.
+  TypeAssignment before = tau_;
+  std::vector<ObjectId> bogus{static_cast<ObjectId>(overlay_->NumObjects())};
+  auto r = TypeArrivals(program_, *overlay_, bogus, &tau_);
+  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(tau_, before);
 }
 
 TEST_F(IncrementalFixture, RetypeRecommendationThreshold) {
   // 8 exact arrivals, then misfits until the fraction crosses 25%.
+  std::vector<ObjectId> batch;
   for (int i = 0; i < 8; ++i) {
-    IncrementalTyper::NewObject rec;
-    rec.fields = {{"name", "n"}, {"email", "e"}};
-    ASSERT_OK(typer_->AddAndType(rec).status());
+    batch.push_back(
+        AddRecord(*overlay_, {{{"name", "n"}, {"email", "e"}}, {}}));
   }
-  EXPECT_FALSE(typer_->RetypeRecommended(0.25, 10));
   for (int i = 0; i < 4; ++i) {
-    IncrementalTyper::NewObject rec;
-    rec.fields = {{"nickname", "z"}};
-    ASSERT_OK(typer_->AddAndType(rec).status());
+    batch.push_back(AddRecord(*overlay_, {{{"nickname", "z"}}, {}}));
   }
+  ASSERT_OK_AND_ASSIGN(std::vector<ArrivalTyping> typed,
+                       TypeArrivals(program_, *overlay_, batch, &tau_));
+  ASSERT_EQ(typed.size(), 12u);
+  size_t fallback = 0;
+  for (const ArrivalTyping& t : typed) {
+    if (t.exact_types.empty()) ++fallback;
+  }
+  EXPECT_EQ(fallback, 4u);
+  EXPECT_FALSE(RetypeRecommended(8, 0, 0.25, 10));  // too few arrivals
   // 4 of 12 arrivals misfit (33% > 25%), and >= 10 arrivals seen.
-  EXPECT_TRUE(typer_->RetypeRecommended(0.25, 10));
-  EXPECT_FALSE(typer_->RetypeRecommended(0.50, 10));
+  EXPECT_TRUE(RetypeRecommended(typed.size(), fallback, 0.25, 10));
+  EXPECT_FALSE(RetypeRecommended(typed.size(), fallback, 0.50, 10));
 }
 
 TEST(IncrementalTest, ChainedArrivalsSeeEachOther) {
-  // An arrival can reference a previous arrival and the earlier object's
-  // assigned type witnesses the later one's requirements.
+  // An arrival can reference an earlier arrival of the same batch, and
+  // the earlier object's assigned type witnesses the later one's
+  // requirements. Atomic arrivals are skipped.
   graph::DataGraph g;
   TypingProgram p;
   graph::LabelId leader = g.InternLabel("leader");
@@ -109,47 +147,46 @@ TEST(IncrementalTest, ChainedArrivalsSeeEachOther) {
       "boss", TypeSignature::FromLinks({TypedLink::OutAtomic(name)}));
   TypeId worker = p.AddType(
       "worker", TypeSignature::FromLinks({TypedLink::Out(leader, boss)}));
-  IncrementalTyper typer(p, g, TypeAssignment(0));
+  DeltaOverlay ov(graph::Freeze(g));
+  ObjectId b = AddRecord(ov, {{{"name", "B"}}, {}});
+  ObjectId w = AddRecord(ov, {{}, {{"leader", b}}});
+  ObjectId atom = ov.AddAtomic("loose");
 
-  IncrementalTyper::NewObject b;
-  b.name = "boss1";
-  b.fields = {{"name", "B"}};
-  ASSERT_OK_AND_ASSIGN(IncrementalTyper::TypedObject tb, typer.AddAndType(b));
-  ASSERT_EQ(tb.exact_types, (std::vector<TypeId>{boss}));
-
-  IncrementalTyper::NewObject w;
-  w.name = "worker1";
-  w.refs = {{"leader", tb.id}};
-  ASSERT_OK_AND_ASSIGN(IncrementalTyper::TypedObject tw, typer.AddAndType(w));
-  EXPECT_EQ(tw.exact_types, (std::vector<TypeId>{worker}));
+  TypeAssignment tau;
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<ArrivalTyping> typed,
+      TypeArrivals(p, ov, std::vector<ObjectId>{b, w, atom}, &tau));
+  ASSERT_EQ(typed.size(), 2u);
+  EXPECT_EQ(typed[0].exact_types, (std::vector<TypeId>{boss}));
+  EXPECT_EQ(typed[1].exact_types, (std::vector<TypeId>{worker}));
+  EXPECT_TRUE(tau.TypesOf(atom).empty());
 }
 
 TEST(IncrementalTest, EndToEndWithExtractor) {
-  // Extract a 6-type DBG schema, then stream new publication-shaped
-  // objects at it.
+  // Extract a 6-type DBG schema, then stream a new publication-shaped
+  // object at it.
   auto g = gen::MakeDbgDataset();
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
   auto r = extract::SchemaExtractor(opt).Run(*g);
   ASSERT_TRUE(r.ok());
 
-  IncrementalTyper typer(r->final_program, *g, r->recast.assignment);
   // Find a db_person to author the new publication.
-  graph::ObjectId person = graph::kInvalidObject;
-  for (graph::ObjectId o = 0; o < g->NumObjects(); ++o) {
+  ObjectId person = graph::kInvalidObject;
+  for (ObjectId o = 0; o < g->NumObjects(); ++o) {
     if (g->Name(o).substr(0, 9) == "db_person") {
       person = o;
       break;
     }
   }
   ASSERT_NE(person, graph::kInvalidObject);
-  IncrementalTyper::NewObject pub;
-  pub.name = "new_pub";
-  pub.fields = {{"name", "Extracting Schema"},
-                {"conference", "SIGMOD"},
-                {"postscript", "p.ps"}};
-  pub.refs = {{"author", person}};
-  ASSERT_OK_AND_ASSIGN(IncrementalTyper::TypedObject t, typer.AddAndType(pub));
+  DeltaOverlay ov(graph::Freeze(*g));
+  ObjectId pub = AddRecord(ov, {{{"name", "Extracting Schema"},
+                                 {"conference", "SIGMOD"},
+                                 {"postscript", "p.ps"}},
+                                {{"author", person}}});
+  TypeAssignment tau = r->recast.assignment;
+  ArrivalTyping t = TypeOne(r->final_program, ov, pub, &tau);
   ASSERT_FALSE(t.exact_types.empty());
   // It should land in the publication type: the one whose signature has
   // an ->author link.

@@ -7,6 +7,8 @@
 #include "extract/extractor.h"
 #include "extract/knee.h"
 #include "gen/dbg.h"
+#include "graph/delta_overlay.h"
+#include "graph/frozen_graph.h"
 #include "json/import.h"
 #include "query/schema_guide.h"
 #include "tests/test_util.h"
@@ -88,15 +90,23 @@ TEST(IntegrationTest, SaveReloadThenTypeNewArrivals) {
   ASSERT_OK_AND_ASSIGN(typing::RecastResult recast,
                        typing::Recast(loaded, *g2, no_homes));
 
-  typing::IncrementalTyper typer(loaded, *g2, recast.assignment);
-  typing::IncrementalTyper::NewObject rec;
-  rec.name = "new_degree";
-  rec.fields = {{"major", "CS"}, {"school", "Stanford"},
-                {"name", "PhD"}, {"year", "1998"}};
-  ASSERT_OK_AND_ASSIGN(typing::IncrementalTyper::TypedObject typed,
-                       typer.AddAndType(rec));
-  EXPECT_FALSE(typed.exact_types.empty());
-  EXPECT_FALSE(typer.RetypeRecommended());
+  graph::DeltaOverlay ov(graph::Freeze(*g2));
+  graph::ObjectId degree = ov.AddComplex("new_degree");
+  const std::pair<const char*, const char*> fields[] = {{"major", "CS"},
+                                                        {"school", "Stanford"},
+                                                        {"name", "PhD"},
+                                                        {"year", "1998"}};
+  for (const auto& [label, value] : fields) {
+    ASSERT_OK(ov.AddEdge(degree, ov.AddAtomic(value), label));
+  }
+  typing::TypeAssignment tau = recast.assignment;
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<typing::ArrivalTyping> typed,
+      typing::TypeArrivals(loaded, ov, std::vector<graph::ObjectId>{degree},
+                           &tau));
+  ASSERT_EQ(typed.size(), 1u);
+  EXPECT_FALSE(typed[0].exact_types.empty());
+  EXPECT_FALSE(typing::RetypeRecommended(1, 0));
 }
 
 TEST(IntegrationTest, KneeDrivenExtractionThenQuery) {

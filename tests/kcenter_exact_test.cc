@@ -110,7 +110,7 @@ class SmallInstance : public ::testing::TestWithParam<uint64_t> {
 TEST_P(SmallInstance, ExactIsNoWorseThanHeuristics) {
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   if (stage1.program.NumTypes() > 8 || stage1.program.NumTypes() < 2) {
     GTEST_SKIP() << "degenerate draw";
   }
@@ -154,7 +154,7 @@ TEST(ExactTest, GuardsAgainstBlowUp) {
                     "l" + std::to_string(i));  // all distinct types
   }
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   ExactOptions opt;
   opt.k = 3;
   EXPECT_EQ(ExactOptimalTyping(g, stage1, opt).status().code(),
@@ -166,7 +166,7 @@ TEST(ExactTest, SingleTypeInstance) {
   graph::ObjectId c = g.AddComplex();
   (void)g.AddEdge(c, g.AddAtomic("v"), "x");
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   ExactOptions opt;
   opt.k = 1;
   ASSERT_OK_AND_ASSIGN(ExactResult r, ExactOptimalTyping(g, stage1, opt));

@@ -1,8 +1,8 @@
-// Parallel Stages 2-3 correctness: the sharded greedy clustering, the
-// k-center matrix, and the recast fallback must be *bit-identical* to
-// their sequential references for every thread count — merge sequence,
-// snapshots, and assignments included — and cancellation must fire inside
-// the stages, not only at their boundaries.
+// Stages 2-3 under ExecOptions: the greedy clustering and k-center run on
+// one thread whatever ExecOptions asks for, and the recast fallback
+// shards; every thread count must give a *bit-identical* result — merge
+// sequence, snapshots, and assignments included — and cancellation must
+// fire inside the stages, not only at their boundaries.
 
 #include <vector>
 
@@ -82,7 +82,7 @@ class ParallelClusterProperty : public ::testing::TestWithParam<uint64_t> {
 TEST_P(ParallelClusterProperty, GreedyIdenticalAcrossThreadCounts) {
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   for (PsiKind psi : {PsiKind::kPsi2, PsiKind::kPsi1, PsiKind::kSimpleD}) {
     for (bool empty : {true, false}) {
       ClusteringOptions copt;
@@ -112,7 +112,7 @@ TEST_P(ParallelClusterProperty, GreedyIdenticalAcrossThreadCounts) {
 TEST_P(ParallelClusterProperty, KCenterIdenticalAcrossThreadCounts) {
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   ASSERT_OK_AND_ASSIGN(
       cluster::KCenterResult ref,
       cluster::KCenterCluster(stage1.program, stage1.weight, 4));
@@ -136,7 +136,7 @@ TEST_P(ParallelClusterProperty, RecastIdenticalAcrossThreadCounts) {
   // fallback, then pin assignment identity across thread counts.
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   ClusteringOptions copt;
   copt.target_num_types = 2;
   ASSERT_OK_AND_ASSIGN(
@@ -262,7 +262,7 @@ TEST(ParallelCluster, Stage2CancellationBeforeMergeSteps) {
   gen::DatasetSpec spec = gen::DbgSpec();
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 4242));
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   ClusteringOptions copt;
   copt.target_num_types = 1;
 
@@ -297,7 +297,7 @@ TEST(ParallelCluster, Stage3CancellationMidRecast) {
   gen::DatasetSpec spec = gen::DbgSpec();
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 4242));
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   std::vector<std::vector<TypeId>> homes(g.NumObjects());
   for (size_t o = 0; o < stage1.home.size(); ++o) {
     if (stage1.home[o] != typing::kInvalidType) homes[o] = {stage1.home[o]};
@@ -339,7 +339,7 @@ TEST(ParallelCluster, ExternalPoolIsShared) {
   opt.seed = 5;
   graph::DataGraph g = gen::RandomGraph(opt);
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   ClusteringOptions copt;
   copt.target_num_types = 2;
   ASSERT_OK_AND_ASSIGN(

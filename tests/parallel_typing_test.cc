@@ -14,6 +14,7 @@
 #include "gen/random_graph.h"
 #include "gen/spec.h"
 #include "graph/graph_builder.h"
+#include "refinement_oracle.h"
 #include "test_util.h"
 #include "typing/gfp.h"
 #include "typing/perfect_typing.h"
@@ -47,7 +48,7 @@ class ParallelRefinementProperty : public ::testing::TestWithParam<uint64_t> {
 TEST_P(ParallelRefinementProperty, HashRefinementMatchesReference) {
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult ref,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::MapRefinementOracle(g));
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     typing::ExecOptions exec;
     exec.num_threads = threads;
@@ -63,7 +64,7 @@ TEST_P(ParallelRefinementProperty, ForcedHashCollisionsStillExact) {
   // compare) carries the whole partition alone.
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult ref,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::MapRefinementOracle(g));
   typing::ExecOptions exec;
   exec.num_threads = 2;
   exec.debug_force_hash_collisions = true;
@@ -75,7 +76,7 @@ TEST_P(ParallelRefinementProperty, ForcedHashCollisionsStillExact) {
 TEST_P(ParallelRefinementProperty, ParallelGfpMatchesSequential) {
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   ASSERT_OK_AND_ASSIGN(typing::Extents seq,
                        typing::ComputeGfp(stage1.program, g));
   for (size_t threads : {size_t{2}, size_t{4}}) {
@@ -111,7 +112,7 @@ TEST(ParallelRefinement, DbgDatasetIdenticalAcrossThreadCounts) {
   for (auto& t : spec.types) t.count *= 5;
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 4242));
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult ref,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::MapRefinementOracle(g));
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     util::PoolRef pool(nullptr, threads);
     typing::ExecOptions exec;

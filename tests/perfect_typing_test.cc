@@ -38,7 +38,8 @@ std::vector<std::vector<graph::ObjectId>> Partition(
 class Example42 : public ::testing::TestWithParam<bool> {
  protected:
   util::StatusOr<PerfectTypingResult> RunStage1(const graph::DataGraph& g) {
-    return GetParam() ? PerfectTypingViaGfp(g) : PerfectTypingViaRefinement(g);
+    return GetParam() ? PerfectTypingViaGfp(g)
+                      : PerfectTypingViaHashRefinement(g);
   }
 };
 
@@ -116,7 +117,8 @@ TEST(PerfectTypingTest, RegularDataGetsOneTypePerIntendedType) {
   graph::DataGraph g = test::MakeFigure2Database();
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult r, PerfectTypingViaGfp(g));
   EXPECT_EQ(r.program.NumTypes(), 2u);
-  ASSERT_OK_AND_ASSIGN(PerfectTypingResult r2, PerfectTypingViaRefinement(g));
+  ASSERT_OK_AND_ASSIGN(PerfectTypingResult r2,
+                       PerfectTypingViaHashRefinement(g));
   EXPECT_EQ(r2.program.NumTypes(), 2u);
 }
 
@@ -125,7 +127,7 @@ TEST(PerfectTypingTest, EmptyAndDegenerateGraphs) {
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult r, PerfectTypingViaGfp(empty));
   EXPECT_EQ(r.program.NumTypes(), 0u);
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult r2,
-                       PerfectTypingViaRefinement(empty));
+                       PerfectTypingViaHashRefinement(empty));
   EXPECT_EQ(r2.program.NumTypes(), 0u);
 
   graph::DataGraph lonely;
@@ -155,7 +157,7 @@ TEST(PerfectTypingTest, CyclesHandledByBothAlgorithms) {
   ASSERT_OK(st);
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult via_gfp, PerfectTypingViaGfp(g));
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult via_ref,
-                       PerfectTypingViaRefinement(g));
+                       PerfectTypingViaHashRefinement(g));
   EXPECT_EQ(via_gfp.program.NumTypes(), 1u);
   EXPECT_EQ(via_ref.program.NumTypes(), 1u);
 }
@@ -172,7 +174,8 @@ TEST(PerfectTypingTest, AlgorithmsAgreeOnRandomGraphs) {
     opt.seed = seed;
     graph::DataGraph g = gen::RandomGraph(opt);
     ASSERT_OK_AND_ASSIGN(PerfectTypingResult a, PerfectTypingViaGfp(g));
-    ASSERT_OK_AND_ASSIGN(PerfectTypingResult b, PerfectTypingViaRefinement(g));
+    ASSERT_OK_AND_ASSIGN(PerfectTypingResult b,
+                         PerfectTypingViaHashRefinement(g));
     EXPECT_EQ(a.program.NumTypes(), b.program.NumTypes()) << "seed " << seed;
     EXPECT_EQ(Partition(a.home), Partition(b.home)) << "seed " << seed;
   }
@@ -188,7 +191,8 @@ TEST(PerfectTypingTest, AlgorithmsAgreeOnStructuredData) {
   spec.types.push_back(gen::TypeSpec{"b", 20, {{"z", 0, 0.8}}});
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 11));
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult a, PerfectTypingViaGfp(g));
-  ASSERT_OK_AND_ASSIGN(PerfectTypingResult b, PerfectTypingViaRefinement(g));
+  ASSERT_OK_AND_ASSIGN(PerfectTypingResult b,
+                       PerfectTypingViaHashRefinement(g));
   EXPECT_EQ(Partition(a.home), Partition(b.home));
 }
 
@@ -207,7 +211,7 @@ TEST(PerfectTypingTest, PerturbationExplodesPerfectTypeCount) {
   }
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 21));
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult before,
-                       PerfectTypingViaRefinement(g));
+                       PerfectTypingViaHashRefinement(g));
 
   gen::PerturbOptions popt;
   popt.delete_links = 5;
@@ -215,7 +219,7 @@ TEST(PerfectTypingTest, PerturbationExplodesPerfectTypeCount) {
   popt.seed = 9;
   ASSERT_OK(gen::Perturb(&g, popt));
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult after,
-                       PerfectTypingViaRefinement(g));
+                       PerfectTypingViaHashRefinement(g));
   EXPECT_GT(after.program.NumTypes(), before.program.NumTypes() * 2);
 }
 

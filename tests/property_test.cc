@@ -53,7 +53,7 @@ TEST_P(RandomGraphProperty, GfpIsAFixpoint) {
   // extents; and extents are closed (no removable member was kept).
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   ASSERT_OK_AND_ASSIGN(typing::Extents m,
                        typing::ComputeGfp(stage1.program, g));
   for (size_t t = 0; t < m.per_type.size(); ++t) {
@@ -70,7 +70,7 @@ TEST_P(RandomGraphProperty, HomeAssignmentInsideGfpExtents) {
   // Stage-1 homes always satisfy their types exactly.
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   ASSERT_OK_AND_ASSIGN(typing::Extents m,
                        typing::ComputeGfp(stage1.program, g));
   for (graph::ObjectId o = 0; o < g.NumObjects(); ++o) {
@@ -83,7 +83,7 @@ TEST_P(RandomGraphProperty, HomeAssignmentInsideGfpExtents) {
 TEST_P(RandomGraphProperty, PerfectTypingHasZeroDefect) {
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   ASSERT_OK_AND_ASSIGN(typing::Extents m,
                        typing::ComputeGfp(stage1.program, g));
   typing::DefectReport report = typing::ComputeDefect(
@@ -95,7 +95,7 @@ TEST_P(RandomGraphProperty, GfpDominatesLfp) {
   // For any program, LFP extents are contained in GFP extents.
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   datalog::Program p = stage1.program.ToDatalog();
   ASSERT_OK_AND_ASSIGN(datalog::Interpretation gfp, datalog::Evaluate(p, g));
   datalog::EvalOptions lopt;
@@ -112,7 +112,7 @@ TEST_P(RandomGraphProperty, GfpDominatesLfp) {
 TEST_P(RandomGraphProperty, ClusteringInvariants) {
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaHashRefinement(g));
   if (stage1.program.NumTypes() < 3) GTEST_SKIP();
   cluster::ClusteringOptions opt;
   opt.target_num_types = 3;

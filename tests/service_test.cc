@@ -131,6 +131,45 @@ TEST_F(ServiceTest, ExtractAutoKPicksKnee) {
   EXPECT_LE(k, 20);
 }
 
+TEST_F(ServiceTest, ApplyDeltaTypesComplexArrivals) {
+  // apply_delta types every new complex object online (§6) against the
+  // workspace schema; atomic arrivals stay untyped.
+  Server server;
+  catalog::Workspace ws = MakeDbgWorkspace();
+  const uint64_t n = ws.graph->NumObjects();
+  const size_t typed_before = ws.assignment.NumTypedObjects();
+  ASSERT_OK(server.InstallWorkspace("dbg", std::move(ws)));
+
+  Request req = MakeRequest(Verb::kApplyDelta);
+  req.apply_delta.workspace = "dbg";
+  DeltaOp lonely;
+  lonely.op = "add_object";
+  DeltaOp atom;
+  atom.op = "add_object";
+  atom.kind = "atomic";
+  atom.value = "v";
+  DeltaOp named = lonely;
+  DeltaOp link;
+  link.op = "add_link";
+  link.from = n + 2;
+  link.to = n + 1;
+  link.label = "name";
+  req.apply_delta.ops = {lonely, atom, named, link};
+  Response resp = server.Handle(req);
+  ASSERT_OK(resp.status);
+  const Value& misfit = Field(resp.result, "misfit");
+  EXPECT_EQ(Field(misfit, "arrivals").AsNumber(), 2);
+  EXPECT_EQ(Field(misfit, "exact").AsNumber() +
+                Field(misfit, "fallback").AsNumber(),
+            2);
+
+  Response list = server.Handle(MakeRequest(Verb::kListWorkspaces));
+  ASSERT_OK(list.status);
+  const Value& summary = Field(list.result, "workspaces").AsArray().at(0);
+  EXPECT_EQ(Field(summary, "typed_objects").AsNumber(),
+            static_cast<double>(typed_before + 2));
+}
+
 TEST_F(ServiceTest, TypeVerbWithInlineProgram) {
   Server server;
   catalog::Workspace ws;

@@ -155,7 +155,7 @@ TEST(GfpTest, PrefilterNeverDropsGfpMembers) {
     opt.seed = seed;
     graph::DataGraph g = gen::RandomGraph(opt);
     ASSERT_OK_AND_ASSIGN(PerfectTypingResult stage1,
-                         PerfectTypingViaRefinement(g));
+                         PerfectTypingViaHashRefinement(g));
     ASSERT_OK_AND_ASSIGN(Extents fast, ComputeGfp(stage1.program, g));
     ASSERT_OK_AND_ASSIGN(datalog::Interpretation slow,
                          datalog::Evaluate(stage1.program.ToDatalog(), g));

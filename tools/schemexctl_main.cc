@@ -17,7 +17,7 @@
 //       build and send one extract request without hand-writing JSON.
 //       Extract flags: --k N (target type count; 0 = auto knee),
 //       --stage1 refinement|gfp, --parallelism N (0 = server default,
-//       1 = sequential reference path), --save-dir DIR.
+//       1 = inline), --save-dir DIR.
 //
 //   schemexctl --connect HOST:PORT --apply-delta WORKSPACE --ops '<json>'
 //       build and send one apply_delta request; --ops takes the ops

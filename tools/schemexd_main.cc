@@ -10,9 +10,9 @@
 // Common flags:
 //   --threads N          worker threads (default 4)
 //   --timeout S          default per-request budget in seconds (default 60)
-//   --parallelism N      default Stage-1 parallelism for extract requests
+//   --parallelism N      default Stage-1/3 parallelism for extract requests
 //                        that leave the field unset (0 = auto/hardware,
-//                        1 = sequential reference path; default 0)
+//                        1 = inline; default 0)
 //   --workspace NAME=DIR preload a SaveWorkspace directory into the cache
 //                        (repeatable)
 //   --gen-demo DIR       write the paper's DBG-like demo database to DIR
