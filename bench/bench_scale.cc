@@ -9,7 +9,7 @@
 //   --json    emit one machine-consumable JSON row per measurement
 //             instead of tables. Row schemas (trajectory diffs parse
 //             these; keep them stable):
-//               pipeline row —
+//               pipeline row (scales 1, 5, 25, 100) —
 //                 {"bench":"scale","algo":"hash","objects":N,
 //                  "edges":N,"stage1_types":N,"threads":1,"stage1_ms":F,
 //                  "cluster_ms":F,"recast_ms":F,"apply_delta_ms":F,
@@ -18,14 +18,25 @@
 //                 64-op mutation batch to a DeltaOverlay over the
 //                 frozen graph (best of 3) — the generation-swap cost a
 //                 service apply_delta pays before any retyping.
-//               stage1-only row (large scales) —
+//               stage1-only row (scale 500) —
 //                 {"bench":"scale","algo":"hash","objects":N,
 //                  "edges":N,"threads":1,"stage1_ms":F,"speedup":1.000}
-//               cluster_kernel row —
+//               stage2_greedy row (scales 1, 5, 25) —
+//                 {"bench":"stage2_greedy","variant":V,"types":N,
+//                  "runs":R,"cluster_ms_median":F,"cluster_ms_q1":F,
+//                  "cluster_ms_q3":F,"cluster_ms_min":F,
+//                  "cluster_ms_max":F,"hardware_concurrency":N}
+//                 R cold ClusterTypes runs (psi2, k = 6) over the
+//                 scale's Stage-1 program; quartiles interpolate
+//                 linearly between the sorted runs.
+//               cluster_kernel row (scales 1, 5, 25) —
 //                 {"bench":"cluster_kernel","kernel":"sorted"|"bit",
 //                  "types":N,"pairs":N,"reps":N,"ms":F,"speedup":F}
-//   --smoke   scales {1, 5} only and skip the large Stage-1-only section
-//             (CI-sized)
+//   --smoke   scales {1, 5} only and skip the large scales (CI-sized)
+//   --variant V
+//             the stage2_greedy rows' "variant" label (default
+//             "current"). Before/after rows come from this file built
+//             once per library version, run alternately.
 //
 // Besides the per-stage pipeline rows, --json emits a "cluster_kernel"
 // pair per scale comparing the two distance implementations over the
@@ -38,6 +49,8 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/greedy.h"
@@ -74,6 +87,40 @@ void PrintJsonPipelineRow(size_t objects, size_t edges, size_t stage1_types,
       "\"speedup\":1.000}\n",
       objects, edges, stage1_types, stage1_ms, cluster_ms, recast_ms,
       apply_delta_ms);
+}
+
+/// The value at quantile q of ascending `v`, interpolating linearly.
+double Quantile(const std::vector<double>& v, double q) {
+  double pos = q * static_cast<double>(v.size() - 1);
+  auto lo = static_cast<size_t>(pos);
+  size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+/// Times `runs` cold Stage-2 runs (psi2, k = 6) over `stage1` and prints
+/// their spread as a stage2_greedy row.
+bool BenchStage2(const typing::PerfectTypingResult& stage1, int runs,
+                 const std::string& variant) {
+  cluster::ClusteringOptions copt;
+  copt.target_num_types = 6;
+  std::vector<double> ms;
+  for (int r = 0; r < runs; ++r) {
+    util::WallTimer t;
+    auto clustering =
+        cluster::ClusterTypes(stage1.program, stage1.weight, copt);
+    ms.push_back(t.ElapsedMillis());
+    if (!clustering.ok()) return false;
+  }
+  std::sort(ms.begin(), ms.end());
+  std::printf(
+      "{\"bench\":\"stage2_greedy\",\"variant\":\"%s\",\"types\":%zu,"
+      "\"runs\":%d,\"cluster_ms_median\":%.3f,\"cluster_ms_q1\":%.3f,"
+      "\"cluster_ms_q3\":%.3f,\"cluster_ms_min\":%.3f,"
+      "\"cluster_ms_max\":%.3f,\"hardware_concurrency\":%u}\n",
+      variant.c_str(), stage1.program.NumTypes(), runs, Quantile(ms, 0.5),
+      Quantile(ms, 0.25), Quantile(ms, 0.75), ms.front(), ms.back(),
+      std::thread::hardware_concurrency());
+  return true;
 }
 
 /// Wall-clock of a 64-op mutation batch (adds, links, deletes) against a
@@ -119,10 +166,11 @@ double BenchApplyDelta(const std::shared_ptr<const graph::FrozenGraph>& frozen) 
   return best;
 }
 
-/// Times the Stage-2 all-pairs distance scan on both kernels (best of 3,
-/// repeated until each timed run covers a few million pair distances so
-/// small scales still produce stable numbers). Returns false if the two
-/// kernels disagree on the summed distance.
+/// Times the all-pairs distance scan over the Stage-1 types (how k-center
+/// and the exact search fill their distance tables) on both kernels
+/// (best of 3, repeated until each timed run covers a few million pair
+/// distances so small scales still produce stable numbers). Returns false
+/// if the two kernels disagree on the summed distance.
 bool BenchDistanceKernels(const typing::TypingProgram& p, bool json,
                           std::vector<std::string>* table_lines) {
   const size_t n = p.NumTypes();
@@ -152,12 +200,13 @@ bool BenchDistanceKernels(const typing::TypingProgram& p, bool json,
   double bit_ms = 1e300;
   for (int best = 0; best < 3; ++best) {
     util::WallTimer t;
-    // Encoding is part of the kernel's cost: bill it like the clusterer
-    // does (once per scan, then XOR+popcount per pair).
+    // Encoding is part of the kernel's cost: bill it like k-center does
+    // (once per scan, then XOR+popcount per pair).
     typing::BitSignatureIndex index(p);
     std::vector<typing::BitSignature> enc(n);
     for (size_t i = 0; i < n; ++i) {
-      enc[i] = index.Encode(p.type(static_cast<typing::TypeId>(i)).signature);
+      enc[i] = index.EncodeFrozen(
+          p.type(static_cast<typing::TypeId>(i)).signature);
     }
     uint64_t sum = 0;
     for (int r = 0; r < reps; ++r) {
@@ -197,7 +246,13 @@ bool BenchDistanceKernels(const typing::TypingProgram& p, bool json,
   return true;
 }
 
-int Run(bool json, bool smoke) {
+// Stage-2 spread rows and the kernel comparison stop at scale 25: the
+// before rows ran the n x n matrix clusterer, which needs 284 MB at
+// scale 100, and the all-pairs kernel scan grows the same way.
+constexpr int kStage2RowMaxScale = 25;
+constexpr int kStage2Runs = 5;
+
+int Run(bool json, bool smoke, const std::string& variant) {
   if (!json) {
     std::cout << "== Pipeline scalability (DBG-style data, refinement Stage "
                  "1) ==\n";
@@ -208,7 +263,7 @@ int Run(bool json, bool smoke) {
                    "stage1 types", "cluster->6 (ms)", "recast+defect (ms)",
                    "apply_delta (ms)", "total (ms)", "defect"});
   std::vector<int> scales = smoke ? std::vector<int>{1, 5}
-                                  : std::vector<int>{1, 5, 25};
+                                  : std::vector<int>{1, 5, 25, 100};
   for (int scale : scales) {
     gen::DatasetSpec spec = gen::DbgSpec();
     for (auto& t : spec.types) t.count *= static_cast<size_t>(scale);
@@ -257,43 +312,42 @@ int Run(bool json, bool smoke) {
                     util::StringPrintf("%.1f", total.ElapsedMillis()),
                     util::StringPrintf("%zu", defect.defect())});
     }
+    if (scale > kStage2RowMaxScale) continue;
+    if (json && !BenchStage2(*stage1, kStage2Runs, variant)) return 1;
     if (!BenchDistanceKernels(stage1->program, json, &kernel_lines)) return 1;
   }
   if (!json) {
     table.Print(std::cout);
-    std::cout << "\n-- Stage-2 distance kernel, sorted vs bit-parallel --\n";
+    std::cout << "\n-- All-pairs distance kernel, sorted vs bit-parallel --\n";
     for (const std::string& line : kernel_lines) {
       std::cout << line << "\n";
     }
   }
 
-  // Stage 1 alone keeps scaling far past where the O(T^2..3) clustering
+  // Stage 1 alone keeps scaling far past where the O(T^2) clustering
   // becomes the bottleneck (T = stage-1 type count, which grows with the
   // data's irregularity).
   if (!smoke) {
-    util::TablePrinter big;
-    big.SetHeader(
-        {"scale", "objects", "links", "stage1 (ms)", "stage1 types"});
-    for (int scale : {100, 500}) {
-      gen::DatasetSpec spec = gen::DbgSpec();
-      for (auto& t : spec.types) t.count *= static_cast<size_t>(scale);
-      auto g = gen::Generate(spec, 4242);
-      if (!g.ok()) return 1;
-      util::WallTimer t1;
-      auto stage1 = typing::PerfectTypingViaHashRefinement(*g);
-      double stage1_ms = t1.ElapsedMillis();
-      if (json) {
-        PrintJsonRow(g->NumObjects(), g->NumEdges(), stage1_ms);
-      } else {
-        big.AddRow({util::StringPrintf("%dx", scale),
-                    util::StringPrintf("%zu", g->NumObjects()),
-                    util::StringPrintf("%zu", g->NumEdges()),
-                    util::StringPrintf("%.1f", stage1_ms),
-                    util::StringPrintf("%zu", stage1->program.NumTypes())});
-      }
-    }
-    if (!json) {
-      std::cout << "\n-- Stage 1 only, larger scales --\n";
+    constexpr int kScale = 500;
+    gen::DatasetSpec spec = gen::DbgSpec();
+    for (auto& t : spec.types) t.count *= static_cast<size_t>(kScale);
+    auto g = gen::Generate(spec, 4242);
+    if (!g.ok()) return 1;
+    util::WallTimer t1;
+    auto stage1 = typing::PerfectTypingViaHashRefinement(*g);
+    double stage1_ms = t1.ElapsedMillis();
+    if (json) {
+      PrintJsonRow(g->NumObjects(), g->NumEdges(), stage1_ms);
+    } else {
+      util::TablePrinter big;
+      big.SetHeader(
+          {"scale", "objects", "links", "stage1 (ms)", "stage1 types"});
+      big.AddRow({util::StringPrintf("%dx", kScale),
+                  util::StringPrintf("%zu", g->NumObjects()),
+                  util::StringPrintf("%zu", g->NumEdges()),
+                  util::StringPrintf("%.1f", stage1_ms),
+                  util::StringPrintf("%zu", stage1->program.NumTypes())});
+      std::cout << "\n-- Stage 1 only, larger scale --\n";
       big.Print(std::cout);
     }
   }
@@ -313,15 +367,19 @@ int Run(bool json, bool smoke) {
 int main(int argc, char** argv) {
   bool json = false;
   bool smoke = false;
+  std::string variant = "current";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
+    } else if (std::strcmp(argv[i], "--variant") == 0 && i + 1 < argc) {
+      variant = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--json] [--smoke]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--json] [--smoke] [--variant V]\n",
+                   argv[0]);
       return 2;
     }
   }
-  return Run(json, smoke);
+  return Run(json, smoke, variant);
 }

@@ -10,10 +10,12 @@
 namespace schemex::cluster {
 
 /// The bit-parallel distance kernel (XOR + popcount over the program's
-/// typed-link universe) used by the Stage-2/Stage-3 hot loops. Defined in
-/// typing/ so Stage 3 can share it; re-exported here because clustering is
-/// its primary consumer. SimpleDistance below stays the sorted-vector
-/// reference the kernel is property-tested against.
+/// typed-link universe) that fills the all-pairs tables of k-center and
+/// the exact search, and scores Stage-3 object pictures. Defined in
+/// typing/ so Stage 3 can share it. The greedy clusterer does not use it:
+/// its rule bodies mutate, so it derives distances from posting lists
+/// instead (greedy.cc). SimpleDistance below stays the sorted-vector
+/// reference both are tested against.
 using BitSignature = typing::BitSignature;
 using BitSignatureIndex = typing::BitSignatureIndex;
 

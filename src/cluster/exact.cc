@@ -77,8 +77,8 @@ util::StatusOr<ExactResult> ExactOptimalTyping(
     typing::BitSignatureIndex index(stage1.program);
     std::vector<typing::BitSignature> enc(n);
     for (size_t i = 0; i < n; ++i) {
-      enc[i] = index.Encode(stage1.program.type(static_cast<TypeId>(i))
-                                .signature);
+      enc[i] = index.EncodeFrozen(
+          stage1.program.type(static_cast<TypeId>(i)).signature);
     }
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) {

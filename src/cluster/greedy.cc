@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -9,6 +10,7 @@ namespace schemex::cluster {
 
 namespace {
 
+using typing::TypedLink;
 using typing::TypeId;
 using typing::TypeSignature;
 using typing::TypingProgram;
@@ -44,20 +46,23 @@ struct Candidate {
   }
 };
 
-/// The greedy clusterer. Every merge step runs three phases:
+/// The greedy clusterer. It stores no distance matrix: rule bodies are
+/// sets of interned link ids, each id keeps a posting list of the live
+/// types that carry it, and each type keeps the ids of the links that
+/// target it. A full distance row d(s, ·) = |s| + |t| − 2|s ∩ t| then
+/// costs one walk over s's postings plus one pass over the live types.
+/// Every merge step runs two phases:
 ///
-///   M: apply the hypercube projection / link drop to the affected rule
-///     bodies and re-encode them on the bit kernel (the only place the
-///     BitSignatureIndex universe grows).
-///   D: recompute the simple-distance matrix entries whose endpoints
-///     changed.
+///   M: apply the hypercube projection / link drop to the rule bodies
+///     that reference the source (found through the postings of the ids
+///     that target it), interning each retargeted link.
 ///   B: restore every live source's cached best move, either by a full
-///     rescan (when its cached pick may have got worse) or by folding in
-///     just the candidates that may have got better.
+///     rescan over its own fresh row (when its cached pick may have got
+///     worse) or by folding in just the candidates that may have got
+///     better, read from the fresh rows of the changed types and of the
+///     destination.
 ///
-/// It runs on the caller's thread. Sharding D and B across workers gave
-/// at most 1.25x at 4 threads on a 4-core machine and lost on one core;
-/// the B-phase rules below, which skip rescans, are where the time goes.
+/// It runs on the caller's thread.
 class GreedyClusterer {
  public:
   GreedyClusterer(const TypingProgram& stage1,
@@ -66,39 +71,40 @@ class GreedyClusterer {
       : options_(options),
         n_(stage1.NumTypes()),
         names_(n_),
-        sig_(n_),
-        enc_(n_),
+        body_(n_),
+        targeting_(n_),
         weight_(n_),
-        alive_(n_, true),
+        initial_weight_(n_),
         changed_(n_, false),
+        shared_(n_, 0),
+        row_(n_, 0),
         cluster_of_(n_),
         big_l_(stage1.NumDistinctTypedLinks()) {
+    InternLinks(stage1);
     for (size_t i = 0; i < n_; ++i) {
       names_[i] = stage1.type(static_cast<TypeId>(i)).name;
-      sig_[i] = stage1.type(static_cast<TypeId>(i)).signature;
       weight_[i] = weights[i];
+      initial_weight_[i] = weights[i];
       cluster_of_[i] = static_cast<TypeId>(i);
+      live_.push_back(static_cast<uint32_t>(i));
     }
-    InitDistances();
     best_.resize(n_);
     for (size_t s = 0; s < n_; ++s) RecomputeBest(s);
   }
 
   util::StatusOr<ClusteringResult> Run(const typing::ExecOptions& exec) {
     ClusteringResult result;
-    size_t live = n_;
     if (options_.record_snapshots) {
       result.snapshots.push_back(MakeSnapshot(0.0));
     }
     double total = 0.0;
-    while (live > options_.target_num_types) {
+    while (live_.size() > options_.target_num_types) {
       SCHEMEX_RETURN_IF_ERROR(exec.Poll());
       Candidate best = PickGlobalBest();
       if (best.source < 0) break;  // nothing mergeable (live <= 1)
       Apply(best);
-      --live;
       total += best.cost;
-      result.steps.push_back(MergeStep{live, best.source, best.dest,
+      result.steps.push_back(MergeStep{live_.size(), best.source, best.dest,
                                        best.simple_d, best.cost});
       if (options_.record_snapshots) {
         result.snapshots.push_back(MakeSnapshot(total));
@@ -121,25 +127,47 @@ class GreedyClusterer {
   }
 
  private:
-  size_t D(size_t a, size_t b) const { return d_[a * n_ + b]; }
-  void SetD(size_t a, size_t b, size_t v) {
-    d_[a * n_ + b] = static_cast<uint32_t>(v);
-    d_[b * n_ + a] = static_cast<uint32_t>(v);
-  }
-  void RefreshD(size_t a, size_t b) {
-    SetD(a, b, BitSignatureIndex::Distance(enc_[a], enc_[b]));
+  /// Interns the program's distinct typed links in TypedLink order, so
+  /// every body starts sorted by id and every targeting_ list starts
+  /// sorted by (direction, label).
+  void InternLinks(const TypingProgram& stage1) {
+    for (const typing::TypeDef& t : stage1.types()) {
+      links_.insert(links_.end(), t.signature.links().begin(),
+                    t.signature.links().end());
+    }
+    std::sort(links_.begin(), links_.end());
+    links_.erase(std::unique(links_.begin(), links_.end()), links_.end());
+    postings_.resize(links_.size());
+    for (size_t id = 0; id < links_.size(); ++id) {
+      if (links_[id].target >= 0) {
+        targeting_[static_cast<size_t>(links_[id].target)].push_back(
+            static_cast<uint32_t>(id));
+      }
+    }
+    for (size_t i = 0; i < n_; ++i) {
+      for (const TypedLink& l :
+           stage1.type(static_cast<TypeId>(i)).signature.links()) {
+        auto id = static_cast<uint32_t>(
+            std::lower_bound(links_.begin(), links_.end(), l) -
+            links_.begin());
+        body_[i].push_back(id);
+        postings_[id].push_back(static_cast<uint32_t>(i));
+      }
+    }
   }
 
-  void InitDistances() {
-    initial_weight_.resize(n_);
-    for (size_t i = 0; i < n_; ++i) {
-      initial_weight_[i] = static_cast<uint64_t>(weight_[i]);
+  /// Fills row_[t] = d(s, t) for every live t: counts |s ∩ t| along s's
+  /// postings, then derives each distance in one pass over the live
+  /// types, which also resets the counts (postings hold live types only).
+  void ComputeRow(size_t s) {
+    for (uint32_t id : body_[s]) {
+      for (uint32_t t : postings_[id]) ++shared_[t];
     }
-    // Encoding in type order fixes the bit universe deterministically.
-    for (size_t i = 0; i < n_; ++i) enc_[i] = index_.Encode(sig_[i]);
-    d_.assign(n_ * n_, 0);
-    for (size_t a = 0; a < n_; ++a) {
-      for (size_t b = a + 1; b < n_; ++b) RefreshD(a, b);
+    const size_t size_s = body_[s].size();
+    for (uint32_t t : live_) {
+      row_[t] = static_cast<uint32_t>(size_s + body_[t].size() -
+                                      2 * size_t{shared_[t]});
+      shared_[t] = 0;
     }
   }
 
@@ -148,25 +176,27 @@ class GreedyClusterer {
                             dist, big_l_);
   }
 
-  Candidate MakeCandidate(size_t s, size_t t) const {
-    return Candidate{static_cast<TypeId>(s), static_cast<TypeId>(t),
-                     D(s, t), Cost(t, s, D(s, t))};
+  Candidate MakeCandidate(size_t s, size_t t, size_t d) const {
+    return Candidate{static_cast<TypeId>(s), static_cast<TypeId>(t), d,
+                     Cost(t, s, d)};
   }
 
   Candidate MakeEmptyCandidate(size_t s) const {
-    return Candidate{static_cast<TypeId>(s), kEmptyType, sig_[s].size(),
+    const size_t size_s = body_[s].size();
+    return Candidate{static_cast<TypeId>(s), kEmptyType, size_s,
                      WeightedDistance(options_.psi,
                                       std::max(empty_weight_, 1.0),
-                                      weight_[s], sig_[s].size(), big_l_)};
+                                      weight_[s], size_s, big_l_)};
   }
 
   /// Full rescan of the best move out of source `s`.
   void RecomputeBest(size_t s) {
+    ComputeRow(s);
     Candidate best;
     best.source = static_cast<TypeId>(s);
-    for (size_t t = 0; t < n_; ++t) {
-      if (t == s || !alive_[t]) continue;
-      Candidate c = MakeCandidate(s, t);
+    for (uint32_t t : live_) {
+      if (t == s) continue;
+      Candidate c = MakeCandidate(s, t, row_[t]);
       if (c.BeatsAsDest(best)) best = c;
     }
     if (options_.enable_empty_type) {
@@ -176,16 +206,9 @@ class GreedyClusterer {
     best_[s] = best;
   }
 
-  /// Folds candidate s -> t into s's cached best if it beats it.
-  void Fold(size_t s, size_t t) {
-    Candidate cand = MakeCandidate(s, t);
-    if (cand.BeatsAsDest(best_[s])) best_[s] = cand;
-  }
-
   Candidate PickGlobalBest() const {
     Candidate best;  // source = -1, cost = inf
-    for (size_t s = 0; s < n_; ++s) {
-      if (!alive_[s]) continue;
+    for (uint32_t s : live_) {
       if (best_[s].dest == -1 && best_[s].cost ==
                                      std::numeric_limits<double>::infinity()) {
         continue;  // no destination available (single cluster, no empty)
@@ -209,55 +232,111 @@ class GreedyClusterer {
     return true;
   }
 
+  /// Removes type `t` from `posting`, which holds it (order is not kept).
+  static void ErasePosting(std::vector<uint32_t>& posting, uint32_t t) {
+    auto it = std::find(posting.begin(), posting.end(), t);
+    *it = posting.back();
+    posting.pop_back();
+  }
+
+  /// Points every live link targeting `from` at `to`: remap_[id] becomes
+  /// the id of the same (direction, label) link into `to`, interned if
+  /// new, and `from`'s ids merge into `to`'s list, which stays sorted by
+  /// (direction, label). Ids no live body carries are dropped.
+  void RetargetIds(size_t from, size_t to) {
+    remap_.resize(links_.size());
+    auto key = [this](uint32_t id) {
+      return std::pair(links_[id].dir, links_[id].label);
+    };
+    const std::vector<uint32_t>& src = targeting_[from];
+    std::vector<uint32_t>& dst = targeting_[to];
+    std::vector<uint32_t> merged;
+    merged.reserve(src.size() + dst.size());
+    size_t j = 0;
+    for (uint32_t id : src) {
+      if (postings_[id].empty()) continue;
+      while (j < dst.size() && key(dst[j]) < key(id)) {
+        merged.push_back(dst[j++]);
+      }
+      if (j < dst.size() && key(dst[j]) == key(id)) {
+        remap_[id] = dst[j];
+        merged.push_back(dst[j++]);
+        continue;
+      }
+      remap_[id] = static_cast<uint32_t>(links_.size());
+      merged.push_back(remap_[id]);
+      TypedLink moved = links_[id];
+      moved.target = static_cast<TypeId>(to);
+      links_.push_back(moved);
+      postings_.emplace_back();
+    }
+    merged.insert(merged.end(), dst.begin() + static_cast<ptrdiff_t>(j),
+                  dst.end());
+    dst = std::move(merged);
+  }
+
+  /// Drops body i's links into `from`; unless they go to the empty type,
+  /// adds their retargeted ids (remap_) that the body does not already
+  /// carry.
+  void RewriteBody(size_t i, TypeId from, bool empty_dest) {
+    std::vector<uint32_t>& body = body_[i];
+    moved_.clear();
+    size_t keep = 0;
+    for (uint32_t id : body) {
+      if (links_[id].target != from) {
+        body[keep++] = id;
+      } else if (!empty_dest) {
+        moved_.push_back(remap_[id]);
+      }
+    }
+    body.resize(keep);
+    for (uint32_t id : moved_) {
+      if (std::binary_search(body.begin(),
+                             body.begin() + static_cast<ptrdiff_t>(keep),
+                             id)) {
+        continue;
+      }
+      body.push_back(id);
+      postings_[id].push_back(static_cast<uint32_t>(i));
+    }
+    std::sort(body.begin(), body.end());
+  }
+
   void Apply(const Candidate& c) {
-    size_t s = static_cast<size_t>(c.source);
-    alive_[s] = false;
+    const size_t s = static_cast<size_t>(c.source);
+    const bool empty_dest = c.dest == kEmptyType;
+    live_.erase(std::lower_bound(live_.begin(), live_.end(), s));
     for (TypeId& cl : cluster_of_) {
       if (cl == c.source) cl = c.dest;
     }
-
-    // Phase M: mutate the affected rule bodies and re-encode them. Typed
-    // links retargeted to c.dest enter the bit universe here.
-    const bool empty_dest = c.dest == kEmptyType;
-    std::fill(changed_.begin(), changed_.end(), false);
-    changed_list_.clear();
-    for (size_t i = 0; i < n_; ++i) {
-      if (!alive_[i]) continue;
-      bool references_s = false;
-      for (const typing::TypedLink& l : sig_[i].links()) {
-        if (l.target == c.source) {
-          references_s = true;
-          break;
-        }
-      }
-      if (!references_s) continue;
-      if (empty_dest) {
-        // Typed links targeting s can no longer be witnessed by
-        // classified objects; drop them from the surviving rule body.
-        TypeSignature next = sig_[i];
-        for (const typing::TypedLink& l : sig_[i].links()) {
-          if (l.target == c.source) next.Erase(l);
-        }
-        sig_[i] = std::move(next);
-      } else {
-        // Hypercube projection: every reference to s becomes one to t.
-        sig_[i].RemapTarget(c.source, c.dest);
-      }
-      enc_[i] = index_.Encode(sig_[i]);
-      changed_[i] = true;
-      changed_list_.push_back(i);
+    for (uint32_t id : body_[s]) {
+      ErasePosting(postings_[id], static_cast<uint32_t>(s));
     }
+    body_[s] = {};
+
+    // Phase M: the live types referencing s are the postings of the ids
+    // that target it. Rewrite their bodies; afterwards no live body
+    // carries those ids.
+    for (size_t i : changed_list_) changed_[i] = false;
+    changed_list_.clear();
+    for (uint32_t id : targeting_[s]) {
+      for (uint32_t i : postings_[id]) {
+        if (changed_[i]) continue;
+        changed_[i] = true;
+        changed_list_.push_back(i);
+      }
+    }
+    std::sort(changed_list_.begin(), changed_list_.end());
+    if (!empty_dest) RetargetIds(s, static_cast<size_t>(c.dest));
+    // With an empty destination, typed links targeting s can no longer
+    // be witnessed by classified objects; they are dropped.
+    for (size_t i : changed_list_) RewriteBody(i, c.source, empty_dest);
+    for (uint32_t id : targeting_[s]) postings_[id] = {};
+    targeting_[s] = {};
     if (empty_dest) {
       empty_weight_ += weight_[s];
     } else {
       weight_[static_cast<size_t>(c.dest)] += weight_[s];
-    }
-
-    // Phase D: refresh every live pair with a changed endpoint, once.
-    for (size_t a : changed_list_) {
-      for (size_t b = 0; b < n_; ++b) {
-        if (b != a && alive_[b] && (!changed_[b] || b > a)) RefreshD(a, b);
-      }
     }
 
     // Phase B: restore every cached best to the true minimum over the
@@ -266,12 +345,13 @@ class GreedyClusterer {
     // changed body; or the destination's weight grew (c.dest, or the
     // empty type) under a psi kind that prices it. Otherwise only
     // candidates that could have *improved* are folded in. The minimum
-    // under (cost, dest-rank) is unique, so rescans and fold-ins agree.
+    // under (cost, dest-rank) is unique, so rescans and fold-ins agree,
+    // and fold-ins may run in any order.
     const bool dest_weight_priced = PsiDependsOnDestWeight();
     const bool empty_weight_changed =
         empty_dest && options_.enable_empty_type && dest_weight_priced;
-    for (size_t j = 0; j < n_; ++j) {
-      if (!alive_[j]) continue;
+    fold_.clear();
+    for (uint32_t j : live_) {
       const Candidate& cached = best_[j];
       bool recompute =
           changed_[j] || cached.dest == c.source || empty_weight_changed ||
@@ -280,31 +360,43 @@ class GreedyClusterer {
           (cached.dest >= 0 && changed_[static_cast<size_t>(cached.dest)]);
       if (recompute) {
         RecomputeBest(j);
-        continue;
+      } else {
+        fold_.push_back(j);
       }
-      for (size_t cd : changed_list_) {
-        if (cd != j) Fold(j, cd);
+    }
+    if (fold_.empty()) return;
+    auto fold_row = [this](size_t t) {
+      ComputeRow(t);
+      for (uint32_t j : fold_) {
+        if (j == t) continue;
+        Candidate cand = MakeCandidate(j, t, row_[j]);
+        if (cand.BeatsAsDest(best_[j])) best_[j] = cand;
       }
-      if (!empty_dest && j != static_cast<size_t>(c.dest)) {
-        // The destination got heavier: moves into it may have cheapened.
-        Fold(j, static_cast<size_t>(c.dest));
-      }
+    };
+    for (size_t cd : changed_list_) fold_row(cd);
+    // The destination got heavier: moves into it may have cheapened.
+    if (!empty_dest && !changed_[static_cast<size_t>(c.dest)]) {
+      fold_row(static_cast<size_t>(c.dest));
     }
   }
 
   Snapshot MakeSnapshot(double total) const {
     Snapshot snap;
+    // Rule bodies reference cluster indices; remap them to dense ids.
     std::vector<TypeId> dense(n_, kEmptyType);
-    for (size_t i = 0; i < n_; ++i) {
-      if (!alive_[i]) continue;
-      dense[i] = static_cast<TypeId>(snap.program.NumTypes());
-      TypeSignature sig = sig_[i];
-      snap.program.AddType(names_[i], std::move(sig));
+    for (size_t k = 0; k < live_.size(); ++k) {
+      dense[live_[k]] = static_cast<TypeId>(k);
     }
-    // Snapshot signatures still reference cluster indices; remap to dense.
-    for (size_t t = 0; t < snap.program.NumTypes(); ++t) {
-      snap.program.type(static_cast<TypeId>(t))
-          .signature.RemapTargets(dense);
+    for (uint32_t i : live_) {
+      std::vector<TypedLink> links;
+      links.reserve(body_[i].size());
+      for (uint32_t id : body_[i]) {
+        TypedLink l = links_[id];
+        if (l.target >= 0) l.target = dense[static_cast<size_t>(l.target)];
+        links.push_back(l);
+      }
+      snap.program.AddType(names_[i],
+                           TypeSignature::FromLinks(std::move(links)));
     }
     snap.stage1_to_snapshot.resize(n_);
     for (size_t i = 0; i < n_; ++i) {
@@ -320,19 +412,23 @@ class GreedyClusterer {
   const ClusteringOptions options_;
   const size_t n_;
   std::vector<std::string> names_;
-  std::vector<TypeSignature> sig_;
-  BitSignatureIndex index_;
-  // sig_[i] on the bit kernel, kept fresh. OWNER: index_ (bit positions
-  // are only meaningful against the index that assigned them).
-  std::vector<BitSignature> enc_;
+  std::vector<TypedLink> links_;                // link id -> typed link
+  std::vector<std::vector<uint32_t>> postings_;  // link id -> live types
+  std::vector<std::vector<uint32_t>> body_;      // type -> sorted link ids
+  // type -> ids of the links targeting it, sorted by (direction, label)
+  std::vector<std::vector<uint32_t>> targeting_;
   std::vector<double> weight_;
   std::vector<uint64_t> initial_weight_;
-  std::vector<bool> alive_;
+  std::vector<uint32_t> live_;        // ascending ids of the live types
   std::vector<bool> changed_;         // per-merge scratch
   std::vector<size_t> changed_list_;  // ascending ids of changed_ entries
+  std::vector<uint32_t> fold_;        // per-merge scratch: folding sources
+  std::vector<uint32_t> moved_;       // RewriteBody scratch
+  std::vector<uint32_t> remap_;       // RetargetIds output, by old link id
+  std::vector<uint32_t> shared_;      // ComputeRow scratch: |s ∩ t|
+  std::vector<uint32_t> row_;         // ComputeRow output: d(s, t)
   std::vector<TypeId> cluster_of_;
-  std::vector<uint32_t> d_;        // flat n*n simple-distance matrix
-  std::vector<Candidate> best_;    // per live source: its best move
+  std::vector<Candidate> best_;  // per live source: its best move
   double empty_weight_ = 0.0;
   const size_t big_l_;
 };

@@ -20,7 +20,7 @@ inline constexpr typing::TypeId kEmptyType = typing::kInvalidType;
 struct ClusteringOptions {
   PsiKind psi = PsiKind::kPsi2;
 
-  /// Stop when this many (non-empty) types remain. 1 <= target <= n.
+  /// Stop when this many (non-empty) types remain; must be >= 1.
   size_t target_num_types = 1;
 
   /// Allow "move type to the empty set" steps (priced as a merge into a
@@ -74,13 +74,15 @@ struct ClusteringResult {
 /// (source, dest) pair, with the empty-type move losing all ties.
 ///
 /// `weights[i]` is the number of objects whose home is Stage-1 type i.
-/// Fails if weights.size() != stage1.NumTypes() or target is out of range.
+/// Fails if weights.size() != stage1.NumTypes() or target_num_types < 1;
+/// a target at or above the type count returns the input unclustered.
 ///
-/// Distances run on the bit-parallel kernel (BitSignatureIndex), and the
-/// clustering runs on the caller's thread: only exec.check_cancel is
-/// used (its pool and thread count are ignored, so every ExecOptions
-/// yields the same result). It is polled before every merge step; its
-/// status propagates verbatim.
+/// Memory stays linear in the program: rule bodies are interned link ids
+/// with per-link posting lists, and each distance row is derived from
+/// them on demand (no n x n matrix). The clustering runs on the caller's
+/// thread: only exec.check_cancel is used (its pool and thread count are
+/// ignored, so every ExecOptions yields the same result). It is polled
+/// before every merge step; its status propagates verbatim.
 util::StatusOr<ClusteringResult> ClusterTypes(
     const typing::TypingProgram& stage1, const std::vector<uint32_t>& weights,
     const ClusteringOptions& options, const typing::ExecOptions& exec = {});

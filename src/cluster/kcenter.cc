@@ -32,7 +32,8 @@ util::StatusOr<KCenterResult> KCenterCluster(
   BitSignatureIndex index(stage1);
   std::vector<BitSignature> enc(n);
   for (size_t i = 0; i < n; ++i) {
-    enc[i] = index.Encode(stage1.type(static_cast<TypeId>(i)).signature);
+    enc[i] =
+        index.EncodeFrozen(stage1.type(static_cast<TypeId>(i)).signature);
   }
   std::vector<std::vector<size_t>> d(n, std::vector<size_t>(n, 0));
   for (size_t i = 0; i < n; ++i) {

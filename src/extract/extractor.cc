@@ -94,8 +94,9 @@ util::StatusOr<ExtractionResult> FinishExtraction(
 
   // Stage 2.
   util::WallTimer stage_timer;
-  if (options.target_num_types > 0 &&
-      options.target_num_types < state.program.NumTypes()) {
+  const bool stage2 = options.target_num_types > 0 &&
+                      options.target_num_types < state.program.NumTypes();
+  if (stage2) {
     if (reuse != nullptr && reuse->program != nullptr &&
         *reuse->program == state.program && *reuse->weights == state.weights) {
       // Identical inputs (and, per the caller's contract, identical
@@ -115,20 +116,23 @@ util::StatusOr<ExtractionResult> FinishExtraction(
           result.clustering,
           cluster::ClusterTypes(state.program, state.weights, copt, exec));
     }
+    result.timings.cluster_ms = stage_timer.ElapsedMillis();
+  }
+
+  // Stage 3, timed from mapping the homes through the clustering (linear
+  // in objects) to the end of the defect measurement.
+  stage_timer.Restart();
+  if (stage2) {
     result.clustering_applied = true;
     result.final_program = result.clustering.final_program;
     result.final_homes =
         MapHomesThrough(state.homes, result.clustering.final_map);
-    result.timings.cluster_ms = stage_timer.ElapsedMillis();
   } else {
     result.final_program = state.program;
     result.final_homes = state.homes;
   }
   result.num_final_types = result.final_program.NumTypes();
   SCHEMEX_RETURN_IF_ERROR(PollCancel(options.check_cancel));
-
-  // Stage 3.
-  stage_timer.Restart();
   SCHEMEX_ASSIGN_OR_RETURN(
       result.recast, typing::Recast(result.final_program, g,
                                     result.final_homes, options.recast, exec));

@@ -64,8 +64,8 @@ struct ExtractorOptions {
 /// service's extract.stage1_ms-style histograms.
 struct StageTimings {
   double stage1_ms = 0;  ///< perfect typing (refinement or GFP)
-  double cluster_ms = 0; ///< Stage 2 (0 when clustering was skipped)
-  double recast_ms = 0;  ///< Stage 3 + defect measurement
+  double cluster_ms = 0; ///< Stage 2 clustering or its reuse (0 when skipped)
+  double recast_ms = 0;  ///< home remap + Stage 3 + defect measurement
   double total_ms = 0;
 };
 

@@ -6,25 +6,10 @@ namespace schemex::typing {
 
 BitSignatureIndex::BitSignatureIndex(const TypingProgram& program) {
   for (const TypeDef& t : program.types()) {
-    for (const TypedLink& l : t.signature.links()) GetOrAddBit(l);
-  }
-}
-
-uint32_t BitSignatureIndex::GetOrAddBit(const TypedLink& l) {
-  auto [it, inserted] =
+    for (const TypedLink& l : t.signature.links()) {
       bit_of_.try_emplace(l, static_cast<uint32_t>(bit_of_.size()));
-  return it->second;
-}
-
-BitSignature BitSignatureIndex::Encode(const TypeSignature& sig) {
-  BitSignature out;
-  for (const TypedLink& l : sig.links()) {
-    uint32_t bit = GetOrAddBit(l);
-    size_t word = bit / 64;
-    if (word >= out.words.size()) out.words.resize(word + 1, 0);
-    out.words[word] |= uint64_t{1} << (bit % 64);
+    }
   }
-  return out;
 }
 
 BitSignature BitSignatureIndex::EncodeFrozen(const TypeSignature& sig) const {

@@ -16,57 +16,44 @@ namespace schemex::typing {
 /// paper's symmetric-difference distance d(t1, t2) (§5.2) becomes an
 /// XOR + popcount loop over uint64_t words instead of a sorted-vector
 /// merge. `extra` counts links of the source signature that lie OUTSIDE
-/// the universe (only EncodeFrozen produces them); each such link can
-/// never match a universe-only signature, so it contributes exactly +1 to
-/// any distance against one.
+/// the universe (e.g. Stage-3 object pictures); each such link can never
+/// match a universe-only signature, so it contributes exactly +1 to any
+/// distance against one.
 struct BitSignature {
   std::vector<uint64_t> words;
   uint32_t extra = 0;
 };
 
-/// Maps the distinct typed links of a program (plus any discovered later)
-/// to dense bit positions, assigned in first-encounter order — rebuilding
-/// the index over the same signatures in the same order always yields the
-/// same packing, which keeps every parallel consumer deterministic.
+/// Maps the distinct typed links of one program to dense bit positions,
+/// assigned in first-encounter order (type order, then link order), so
+/// rebuilding the index over the same program always yields the same
+/// packing. The universe is fixed at construction: the program's own
+/// rule bodies encode with no extras, and any other signature (an object
+/// picture, a probe) tallies its out-of-universe links in `extra`.
 ///
-/// Two encoding modes:
-///  * Encode() registers unseen links, growing the universe; use it for
-///    signatures that themselves define the space (Stage-2 rule bodies,
-///    which mutate as clustering coalesces targets).
-///  * EncodeFrozen() is const and counts unseen links in `extra`; use it
-///    for probe signatures (Stage-3 object pictures) compared only
-///    against universe-only signatures.
+/// An encoding's word vector ends at its highest set bit; Distance
+/// zero-extends the shorter one.
 ///
-/// Encodings taken at different universe sizes stay comparable: Distance
-/// zero-extends the shorter word vector, and bits are only ever appended,
-/// never reassigned.
-///
-/// Not thread-safe for Encode; EncodeFrozen and Distance are safe to call
-/// concurrently with each other (no mutation).
+/// Immutable after construction, so safe to share across threads.
 class BitSignatureIndex {
  public:
-  BitSignatureIndex() = default;
-
   /// Registers every distinct typed link of `program`, in type order.
   explicit BitSignatureIndex(const TypingProgram& program);
 
-  /// Number of distinct typed links registered so far (the live L).
+  /// Number of distinct typed links in the universe (the program's L).
   size_t NumBits() const { return bit_of_.size(); }
 
   /// Words needed to hold every registered bit.
   size_t NumWords() const { return (NumBits() + 63) / 64; }
 
-  /// Packs `sig`, assigning fresh bits to unseen links (mutating).
-  BitSignature Encode(const TypeSignature& sig);
-
-  /// Packs `sig` without growing the universe; out-of-universe links are
-  /// tallied in the result's `extra`.
+  /// Packs `sig`; links outside the universe are tallied in the result's
+  /// `extra`.
   BitSignature EncodeFrozen(const TypeSignature& sig) const;
 
   /// |a Δ b| over the packed words (+ both extras). Exactly equal to
   /// TypeSignature::SymmetricDifferenceSize for encodings of this index
-  /// whenever at most one side carries extras and the other is
-  /// universe-only — the only way this class hands them out.
+  /// whenever at most one side carries extras, e.g. a probe against a
+  /// program rule body.
   static size_t Distance(const BitSignature& a, const BitSignature& b);
 
  private:
@@ -75,8 +62,6 @@ class BitSignatureIndex {
       return static_cast<size_t>(HashTypedLink(l));
     }
   };
-
-  uint32_t GetOrAddBit(const TypedLink& l);
 
   std::unordered_map<TypedLink, uint32_t, LinkHash> bit_of_;
 };

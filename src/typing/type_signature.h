@@ -43,10 +43,11 @@ class TypeSignature {
                                     const TypeSignature& b);
 
   /// |a Δ b| — the paper's simple Manhattan distance d(t1, t2) (§5.2).
-  /// This sorted-vector merge is the *reference* distance; the all-pairs
-  /// hot loops of Stages 2–3 use the bit-parallel kernel in
-  /// bit_signature.h (XOR + popcount over a typed-link universe), which
-  /// is property-tested to match this function exactly.
+  /// This sorted-vector merge is the *reference* distance. Stage 3 and
+  /// the k-center / exact all-pairs tables use the bit-parallel kernel in
+  /// bit_signature.h (XOR + popcount over a typed-link universe), and
+  /// greedy clustering counts shared links along posting lists; both are
+  /// tested to match this function exactly.
   static size_t SymmetricDifferenceSize(const TypeSignature& a,
                                         const TypeSignature& b);
 

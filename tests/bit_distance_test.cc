@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "cluster/distance.h"
 #include "typing/bit_signature.h"
 #include "typing/type_signature.h"
+#include "typing/typing_program.h"
 #include "util/random.h"
 
 namespace schemex::typing {
@@ -37,6 +40,16 @@ TypeSignature RandomSignature(util::Rng& rng, size_t max_links,
   return TypeSignature::FromLinks(std::move(links));
 }
 
+/// A program whose rule bodies are `sigs`, in order: the universe a
+/// BitSignatureIndex is built from.
+TypingProgram ProgramOf(std::initializer_list<TypeSignature> sigs) {
+  TypingProgram p;
+  for (const TypeSignature& s : sigs) {
+    p.AddType("t" + std::to_string(p.NumTypes()), s);
+  }
+  return p;
+}
+
 constexpr cluster::PsiKind kAllPsi[] = {
     cluster::PsiKind::kSimpleD, cluster::PsiKind::kPsi1,
     cluster::PsiKind::kPsi2,    cluster::PsiKind::kPsi3,
@@ -49,9 +62,10 @@ TEST(BitDistanceTest, MatchesSortedReferenceOnRandomPairs) {
       TypeSignature a = RandomSignature(rng, 24, 8, 6);
       TypeSignature b = RandomSignature(rng, 24, 8, 6);
 
-      BitSignatureIndex index;
-      BitSignature ea = index.Encode(a);
-      BitSignature eb = index.Encode(b);
+      BitSignatureIndex index(ProgramOf({a, b}));
+      BitSignature ea = index.EncodeFrozen(a);
+      BitSignature eb = index.EncodeFrozen(b);
+      EXPECT_EQ(ea.extra + eb.extra, 0u);
       size_t ref = TypeSignature::SymmetricDifferenceSize(a, b);
       EXPECT_EQ(BitSignatureIndex::Distance(ea, eb), ref)
           << "seed " << seed << " round " << round;
@@ -70,9 +84,9 @@ TEST(BitDistanceTest, AllPsiKindsAgreeWithReferenceDistance) {
   for (int round = 0; round < 100; ++round) {
     TypeSignature a = RandomSignature(rng, 16, 6, 5);
     TypeSignature b = RandomSignature(rng, 16, 6, 5);
-    BitSignatureIndex index;
-    BitSignature ea = index.Encode(a);
-    BitSignature eb = index.Encode(b);
+    BitSignatureIndex index(ProgramOf({a, b}));
+    BitSignature ea = index.EncodeFrozen(a);
+    BitSignature eb = index.EncodeFrozen(b);
     size_t bit_d = BitSignatureIndex::Distance(ea, eb);
     size_t ref_d = TypeSignature::SymmetricDifferenceSize(a, b);
     double w1 = 1 + static_cast<double>(rng.Uniform(100));
@@ -87,11 +101,11 @@ TEST(BitDistanceTest, AllPsiKindsAgreeWithReferenceDistance) {
 }
 
 TEST(BitDistanceTest, EmptySignatures) {
-  BitSignatureIndex index;
   TypeSignature empty;
   TypeSignature one = TypeSignature::FromLinks({TypedLink::OutAtomic(0)});
-  BitSignature ee = index.Encode(empty);
-  BitSignature eo = index.Encode(one);
+  BitSignatureIndex index(ProgramOf({empty, one}));
+  BitSignature ee = index.EncodeFrozen(empty);
+  BitSignature eo = index.EncodeFrozen(one);
   EXPECT_EQ(BitSignatureIndex::Distance(ee, ee), 0u);
   EXPECT_EQ(BitSignatureIndex::Distance(ee, eo), 1u);
   EXPECT_EQ(BitSignatureIndex::Distance(eo, ee), 1u);
@@ -130,16 +144,21 @@ TEST(BitDistanceTest, WordBoundaryUniverses) {
       }
       TypeSignature a = TypeSignature::FromLinks(la);
       TypeSignature b = TypeSignature::FromLinks(lb);
-      BitSignatureIndex index;
-      // Register the whole universe first so NumBits hits the boundary.
-      BitSignature all_enc = index.Encode(TypeSignature::FromLinks(all));
+      // The whole universe is one rule body, so NumBits hits the
+      // boundary; a and b encode to word vectors no longer than its.
+      TypeSignature whole = TypeSignature::FromLinks(all);
+      BitSignatureIndex index(ProgramOf({whole, a, b}));
+      BitSignature all_enc = index.EncodeFrozen(whole);
       ASSERT_EQ(index.NumBits(), universe);
       ASSERT_EQ(index.NumWords(), (universe + 63) / 64);
-      BitSignature ea = index.Encode(a);
-      BitSignature eb = index.Encode(b);
+      ASSERT_EQ(all_enc.words.size(), index.NumWords());
+      BitSignature ea = index.EncodeFrozen(a);
+      BitSignature eb = index.EncodeFrozen(b);
       EXPECT_EQ(BitSignatureIndex::Distance(ea, eb),
                 TypeSignature::SymmetricDifferenceSize(a, b));
       EXPECT_EQ(BitSignatureIndex::Distance(all_enc, ea),
+                universe - a.size());
+      EXPECT_EQ(BitSignatureIndex::Distance(ea, all_enc),
                 universe - a.size());
     }
   }
@@ -149,10 +168,10 @@ TEST(BitDistanceTest, EncodeFrozenCountsOutOfUniverseLinksAsExtras) {
   // Universe = {->0, ->1}; the probe carries two links outside it. Each
   // foreign link can never match a universe-only signature, so it adds
   // exactly +1 to any distance against one.
-  BitSignatureIndex index;
   TypeSignature t0 =
       TypeSignature::FromLinks({TypedLink::OutAtomic(0), TypedLink::OutAtomic(1)});
-  BitSignature e0 = index.Encode(t0);
+  BitSignatureIndex index(ProgramOf({t0}));
+  BitSignature e0 = index.EncodeFrozen(t0);
 
   TypeSignature probe = TypeSignature::FromLinks(
       {TypedLink::OutAtomic(0), TypedLink::OutAtomic(7),
@@ -164,29 +183,6 @@ TEST(BitDistanceTest, EncodeFrozenCountsOutOfUniverseLinksAsExtras) {
             TypeSignature::SymmetricDifferenceSize(probe, t0));
 }
 
-TEST(BitDistanceTest, EncodingsFromGrownUniverseStayComparable) {
-  // Encode a small signature, grow the universe past a word boundary,
-  // then compare old (short) and new (long) encodings: Distance must
-  // zero-extend the short one.
-  BitSignatureIndex index;
-  TypeSignature small =
-      TypeSignature::FromLinks({TypedLink::OutAtomic(0)});
-  BitSignature e_small = index.Encode(small);  // 1 word
-
-  std::vector<TypedLink> many;
-  for (size_t i = 0; i < 130; ++i) {
-    many.push_back(TypedLink::OutAtomic(static_cast<graph::LabelId>(i)));
-  }
-  TypeSignature big = TypeSignature::FromLinks(many);
-  BitSignature e_big = index.Encode(big);  // 3 words
-  ASSERT_GT(e_big.words.size(), e_small.words.size());
-
-  EXPECT_EQ(BitSignatureIndex::Distance(e_small, e_big),
-            TypeSignature::SymmetricDifferenceSize(small, big));
-  EXPECT_EQ(BitSignatureIndex::Distance(e_big, e_small),
-            TypeSignature::SymmetricDifferenceSize(small, big));
-}
-
 TEST(BitDistanceTest, RandomizedFrozenProbesMatchReference) {
   // EncodeFrozen probes against a fixed universe, with probe links drawn
   // from a wider pool than the universe was built from — the Stage-3
@@ -195,9 +191,9 @@ TEST(BitDistanceTest, RandomizedFrozenProbesMatchReference) {
   for (int round = 0; round < 100; ++round) {
     TypeSignature u1 = RandomSignature(rng, 12, 4, 3);
     TypeSignature u2 = RandomSignature(rng, 12, 4, 3);
-    BitSignatureIndex index;
-    BitSignature e1 = index.Encode(u1);
-    BitSignature e2 = index.Encode(u2);
+    BitSignatureIndex index(ProgramOf({u1, u2}));
+    BitSignature e1 = index.EncodeFrozen(u1);
+    BitSignature e2 = index.EncodeFrozen(u2);
     // Wider pool: labels up to 8, types up to 6.
     TypeSignature probe = RandomSignature(rng, 16, 8, 6);
     BitSignature ep = index.EncodeFrozen(probe);

@@ -10,6 +10,7 @@
 
 #include "cluster/distance.h"
 #include "cluster/greedy.h"
+#include "gen/dbg.h"
 #include "gen/random_graph.h"
 #include "tests/test_util.h"
 #include "typing/perfect_typing.h"
@@ -27,7 +28,45 @@ using typing::TypingProgram;
 struct ReferenceResult {
   std::vector<MergeStep> steps;
   std::vector<TypeId> cluster_of;  // stage-1 type -> cluster index/-2
+  /// Per state (the start, then after every step): the program over the
+  /// live clusters with dense ids, and the stage-1 type -> dense id map —
+  /// what a Snapshot holds.
+  std::vector<TypingProgram> programs;
+  std::vector<std::vector<TypeId>> dense_maps;
+  /// Coverage of the rewrite paths: bodies that shrank when a retargeted
+  /// link coincided with one they already held, and bodies that lost
+  /// links to an empty-type move.
+  size_t dedup_remaps = 0;
+  size_t empty_drops = 0;
 };
+
+/// Records the live clusters as a dense program plus the stage-1 map.
+void RecordState(const TypingProgram& stage1,
+                 const std::vector<TypeSignature>& sig,
+                 const std::vector<bool>& alive,
+                 const std::vector<TypeId>& cluster_of,
+                 ReferenceResult* result) {
+  std::vector<TypeId> dense(sig.size(), kEmptyType);
+  TypeId next = 0;
+  for (size_t i = 0; i < sig.size(); ++i) {
+    if (alive[i]) dense[i] = next++;
+  }
+  TypingProgram program;
+  for (size_t i = 0; i < sig.size(); ++i) {
+    if (!alive[i]) continue;
+    TypeSignature body = sig[i];
+    body.RemapTargets(dense);
+    program.AddType(stage1.type(static_cast<TypeId>(i)).name, std::move(body));
+  }
+  std::vector<TypeId> map(cluster_of.size());
+  for (size_t i = 0; i < cluster_of.size(); ++i) {
+    map[i] = cluster_of[i] == kEmptyType
+                 ? kEmptyType
+                 : dense[static_cast<size_t>(cluster_of[i])];
+  }
+  result->programs.push_back(std::move(program));
+  result->dense_maps.push_back(std::move(map));
+}
 
 ReferenceResult ReferenceGreedy(const TypingProgram& stage1,
                                 const std::vector<uint32_t>& weights,
@@ -45,6 +84,7 @@ ReferenceResult ReferenceGreedy(const TypingProgram& stage1,
   const size_t big_l = stage1.NumDistinctTypedLinks();
   double empty_weight = 0.0;
   ReferenceResult result;
+  RecordState(stage1, sig, alive, cluster_of, &result);
   size_t live = n;
   while (live > options.target_num_types) {
     double best_cost = std::numeric_limits<double>::infinity();
@@ -89,19 +129,36 @@ ReferenceResult ReferenceGreedy(const TypingProgram& stage1,
         for (const TypedLink& l : sig[i].links()) {
           if (l.target == bs) next.Erase(l);
         }
+        if (next.size() < sig[i].size()) ++result.empty_drops;
         sig[i] = std::move(next);
       }
     } else {
       weight[static_cast<size_t>(bt)] += weight[static_cast<size_t>(bs)];
       for (size_t i = 0; i < n; ++i) {
-        if (alive[i]) sig[i].RemapTarget(bs, bt);
+        if (!alive[i]) continue;
+        size_t before = sig[i].size();
+        sig[i].RemapTarget(bs, bt);
+        if (sig[i].size() < before) ++result.dedup_remaps;
       }
     }
     --live;
     result.steps.push_back(MergeStep{live, bs, bt, bd, best_cost});
+    RecordState(stage1, sig, alive, cluster_of, &result);
   }
   result.cluster_of = cluster_of;
   return result;
+}
+
+void ExpectSameSteps(const std::vector<MergeStep>& fast,
+                     const std::vector<MergeStep>& ref) {
+  ASSERT_EQ(fast.size(), ref.size());
+  for (size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(fast[i].num_types_after, ref[i].num_types_after) << "step " << i;
+    EXPECT_EQ(fast[i].source, ref[i].source) << "step " << i;
+    EXPECT_EQ(fast[i].dest, ref[i].dest) << "step " << i;
+    EXPECT_EQ(fast[i].simple_d, ref[i].simple_d) << "step " << i;
+    EXPECT_DOUBLE_EQ(fast[i].cost, ref[i].cost) << "step " << i;
+  }
 }
 
 class GreedyDifferential
@@ -129,13 +186,7 @@ TEST_P(GreedyDifferential, MatchesNaiveReference) {
   auto fast = ClusterTypes(stage1->program, stage1->weight, opt);
   ASSERT_TRUE(fast.ok());
 
-  ASSERT_EQ(fast->steps.size(), ref.steps.size());
-  for (size_t i = 0; i < ref.steps.size(); ++i) {
-    EXPECT_EQ(fast->steps[i].source, ref.steps[i].source) << "step " << i;
-    EXPECT_EQ(fast->steps[i].dest, ref.steps[i].dest) << "step " << i;
-    EXPECT_EQ(fast->steps[i].simple_d, ref.steps[i].simple_d) << "step " << i;
-    EXPECT_DOUBLE_EQ(fast->steps[i].cost, ref.steps[i].cost) << "step " << i;
-  }
+  ExpectSameSteps(fast->steps, ref.steps);
   // Cluster partitions agree: same stage-1 types grouped together.
   for (size_t i = 0; i < ref.cluster_of.size(); ++i) {
     for (size_t j = i + 1; j < ref.cluster_of.size(); ++j) {
@@ -161,6 +212,61 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(std::get<0>(info.param)) + "_" +
              std::string(PsiKindName(std::get<1>(info.param))) +
              (std::get<2>(info.param) ? "_empty" : "_noempty");
+    });
+
+/// The DBG database (~90 Stage-1 types) clustered all the way to k = 1:
+/// long retarget cascades, where retargeted links fold into links the
+/// destination's referrers already hold, and (with the empty type)
+/// references dropped by empty-type moves. Every step, every snapshot
+/// and the final program must match the reference.
+class GreedyDbgDifferential
+    : public ::testing::TestWithParam<std::tuple<PsiKind, bool>> {};
+
+TEST_P(GreedyDbgDifferential, MatchesNaiveReferenceAtEveryK) {
+  auto [psi, empty] = GetParam();
+  auto g = gen::MakeDbgDataset();
+  ASSERT_TRUE(g.ok());
+  auto stage1 = typing::PerfectTypingViaHashRefinement(*g);
+  ASSERT_TRUE(stage1.ok());
+  ASSERT_GE(stage1->program.NumTypes(), 80u);
+
+  ClusteringOptions opt;
+  opt.psi = psi;
+  opt.enable_empty_type = empty;
+  opt.target_num_types = 1;
+  opt.record_snapshots = true;
+
+  ReferenceResult ref = ReferenceGreedy(stage1->program, stage1->weight, opt);
+  EXPECT_GT(ref.dedup_remaps, 0u);
+  // ψ5 = (w2/w1)^(1/d) prices the weight-0 empty type above every real
+  // merge on this data, so it never moves a type there.
+  if (empty && psi != PsiKind::kPsi5) {
+    EXPECT_GT(ref.empty_drops, 0u);
+  }
+  auto fast = ClusterTypes(stage1->program, stage1->weight, opt);
+  ASSERT_TRUE(fast.ok());
+
+  ExpectSameSteps(fast->steps, ref.steps);
+  ASSERT_EQ(fast->snapshots.size(), ref.programs.size());
+  for (size_t k = 0; k < ref.programs.size(); ++k) {
+    const Snapshot& snap = fast->snapshots[k];
+    EXPECT_EQ(snap.num_types, ref.programs[k].NumTypes()) << "snapshot " << k;
+    EXPECT_EQ(snap.stage1_to_snapshot, ref.dense_maps[k]) << "snapshot " << k;
+    EXPECT_TRUE(snap.program == ref.programs[k]) << "snapshot " << k;
+  }
+  EXPECT_TRUE(fast->final_program == ref.programs.back());
+  EXPECT_EQ(fast->final_map, ref.dense_maps.back());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPsi, GreedyDbgDifferential,
+    ::testing::Combine(::testing::Values(PsiKind::kSimpleD, PsiKind::kPsi1,
+                                         PsiKind::kPsi2, PsiKind::kPsi3,
+                                         PsiKind::kPsi4, PsiKind::kPsi5),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<PsiKind, bool>>& info) {
+      return std::string(PsiKindName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_empty" : "_noempty");
     });
 
 }  // namespace
