@@ -32,6 +32,20 @@
 //               cluster_kernel row (scales 1, 5, 25) —
 //                 {"bench":"cluster_kernel","kernel":"sorted"|"bit",
 //                  "types":N,"pairs":N,"reps":N,"ms":F,"speedup":F}
+//               knee_sweep row (max_k 20 at scales 1, 5, 25; max_k 0
+//               at scales 1, 5) —
+//                 {"bench":"knee_sweep","scale":S,"types":N,"max_k":M,
+//                  "points":P,"knee_k":K,"runs":R,"sweep_ms_median":F,
+//                  "sweep_ms_q1":F,"sweep_ms_q3":F,"sweep_ms_min":F,
+//                  "sweep_ms_max":F,"hardware_concurrency":N}
+//                 R cold SensitivitySweep runs (Stage 1, Stage 2 down
+//                 to k = 1, a recast + defect per k <= M; M = 0 recasts
+//                 every k) with default options; K is FindKnee's pick
+//                 under max_types = M. Before the rows print, the capped
+//                 points must equal the full sweep's points with k <= 20
+//                 (at scale 25, where the full sweep takes minutes, each
+//                 capped point must equal a cold extraction at its k);
+//                 a mismatch exits 1.
 //   --smoke   scales {1, 5} only and skip the large scales (CI-sized)
 //   --variant V
 //             the stage2_greedy rows' "variant" label (default
@@ -54,6 +68,8 @@
 #include <vector>
 
 #include "cluster/greedy.h"
+#include "extract/extractor.h"
+#include "extract/knee.h"
 #include "gen/dbg.h"
 #include "gen/spec.h"
 #include "graph/delta_overlay.h"
@@ -120,6 +136,95 @@ bool BenchStage2(const typing::PerfectTypingResult& stage1, int runs,
       variant.c_str(), stage1.program.NumTypes(), runs, Quantile(ms, 0.5),
       Quantile(ms, 0.25), Quantile(ms, 0.75), ms.front(), ms.back(),
       std::thread::hardware_concurrency());
+  return true;
+}
+
+using Points = std::vector<extract::SensitivityPoint>;
+
+/// Timed cold knee sweeps: ascending wall times and the last run's points.
+struct SweepRuns {
+  std::vector<double> ms;
+  Points points;
+};
+
+/// Runs `runs` cold SensitivitySweeps capped at `max_k` (0 = every k).
+bool TimeKneeSweep(graph::GraphView g, size_t max_k, int runs,
+                   SweepRuns* out) {
+  for (int r = 0; r < runs; ++r) {
+    util::WallTimer t;
+    auto sweep = extract::SensitivitySweep(g, {}, /*min_k=*/1, max_k);
+    out->ms.push_back(t.ElapsedMillis());
+    if (!sweep.ok()) return false;
+    out->points = *std::move(sweep);
+  }
+  std::sort(out->ms.begin(), out->ms.end());
+  return true;
+}
+
+/// True if every point equals a cold extraction at its k: the check for
+/// a capped sweep where the full one is too slow to compare against.
+bool MatchesColdExtractions(graph::GraphView g, const Points& points) {
+  for (const extract::SensitivityPoint& p : points) {
+    extract::ExtractorOptions opt;
+    opt.target_num_types = p.k;
+    auto r = extract::SchemaExtractor(opt).Run(g);
+    if (!r.ok()) return false;
+    extract::SensitivityPoint cold{
+        p.k, r->clustering_applied ? r->clustering.total_distance : 0.0,
+        r->defect.excess, r->defect.deficit, r->defect.defect()};
+    if (!(cold == p)) return false;
+  }
+  return true;
+}
+
+void PrintKneeRow(int scale, size_t types, size_t max_k,
+                  const SweepRuns& runs) {
+  extract::KneeOptions knee;
+  knee.max_types = max_k;
+  const std::vector<double>& ms = runs.ms;
+  std::printf(
+      "{\"bench\":\"knee_sweep\",\"scale\":%d,\"types\":%zu,\"max_k\":%zu,"
+      "\"points\":%zu,\"knee_k\":%zu,\"runs\":%zu,\"sweep_ms_median\":%.3f,"
+      "\"sweep_ms_q1\":%.3f,\"sweep_ms_q3\":%.3f,\"sweep_ms_min\":%.3f,"
+      "\"sweep_ms_max\":%.3f,\"hardware_concurrency\":%u}\n",
+      scale, types, max_k, runs.points.size(),
+      extract::FindKnee(runs.points, knee).k, ms.size(), Quantile(ms, 0.5),
+      Quantile(ms, 0.25), Quantile(ms, 0.75), ms.front(), ms.back(),
+      std::thread::hardware_concurrency());
+}
+
+// The service's default knee range (ExtractParams::max_types), and the
+// largest scale whose full sweep (one recast per Stage-1 type) is timed.
+constexpr size_t kKneeMaxTypes = 20;
+constexpr int kFullSweepMaxScale = 5;
+
+/// Prints the knee_sweep rows for one scale once the capped points have
+/// been checked exact; returns false on a failed run or a mismatch.
+bool BenchKneeSweeps(graph::GraphView g, int scale, size_t types,
+                     int runs) {
+  SweepRuns capped;
+  if (!TimeKneeSweep(g, kKneeMaxTypes, runs, &capped)) return false;
+  SweepRuns full;
+  bool exact = false;
+  if (scale <= kFullSweepMaxScale) {
+    if (!TimeKneeSweep(g, 0, runs, &full)) return false;
+    Points tail;
+    for (const extract::SensitivityPoint& p : full.points) {
+      if (p.k <= kKneeMaxTypes) tail.push_back(p);
+    }
+    exact = capped.points == tail;
+  } else {
+    exact = MatchesColdExtractions(g, capped.points);
+  }
+  if (!exact) {
+    std::fprintf(stderr,
+                 "FAIL: scale %d: the sweep capped at k <= %zu diverges from "
+                 "the full sweep\n",
+                 scale, kKneeMaxTypes);
+    return false;
+  }
+  if (!full.ms.empty()) PrintKneeRow(scale, types, 0, full);
+  PrintKneeRow(scale, types, kKneeMaxTypes, capped);
   return true;
 }
 
@@ -314,6 +419,10 @@ int Run(bool json, bool smoke, const std::string& variant) {
     }
     if (scale > kStage2RowMaxScale) continue;
     if (json && !BenchStage2(*stage1, kStage2Runs, variant)) return 1;
+    if (json && !BenchKneeSweeps(*g, scale, stage1->program.NumTypes(),
+                                 kStage2Runs)) {
+      return 1;
+    }
     if (!BenchDistanceKernels(stage1->program, json, &kernel_lines)) return 1;
   }
   if (!json) {

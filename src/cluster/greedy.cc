@@ -94,9 +94,15 @@ class GreedyClusterer {
 
   util::StatusOr<ClusteringResult> Run(const typing::ExecOptions& exec) {
     ClusteringResult result;
-    if (options_.record_snapshots) {
-      result.snapshots.push_back(MakeSnapshot(0.0));
-    }
+    // Every step removes one live type, so a capped run still records
+    // one snapshot per k from min(n, cap) down.
+    auto record = [this, &result](double total) {
+      const size_t cap = options_.max_snapshot_types;
+      if (options_.record_snapshots && (cap == 0 || live_.size() <= cap)) {
+        result.snapshots.push_back(MakeSnapshot(total));
+      }
+    };
+    record(0.0);
     double total = 0.0;
     while (live_.size() > options_.target_num_types) {
       SCHEMEX_RETURN_IF_ERROR(exec.Poll());
@@ -106,9 +112,7 @@ class GreedyClusterer {
       total += best.cost;
       result.steps.push_back(MergeStep{live_.size(), best.source, best.dest,
                                        best.simple_d, best.cost});
-      if (options_.record_snapshots) {
-        result.snapshots.push_back(MakeSnapshot(total));
-      }
+      record(total);
     }
     result.total_distance = total;
     Snapshot fin = MakeSnapshot(total);

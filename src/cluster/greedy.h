@@ -31,6 +31,13 @@ struct ClusteringOptions {
   /// sensitivity sweep can evaluate each intermediate k without re-running
   /// the clustering.
   bool record_snapshots = false;
+
+  /// With record_snapshots, copy only the snapshots with at most this
+  /// many types (0 = every k). Recording only reads the clusterer's
+  /// state, so the cap changes neither the merge ladder nor the final
+  /// program, and each recorded snapshot equals the uncapped run's
+  /// snapshot at the same k; it saves the program copies above the cap.
+  size_t max_snapshot_types = 0;
 };
 
 /// One greedy step: source cluster coalesced into destination (or into the
@@ -61,7 +68,8 @@ struct ClusteringResult {
   std::vector<uint64_t> final_weights;
   double total_distance = 0.0;
   /// Populated when options.record_snapshots; ordered by decreasing k,
-  /// includes the starting program (k = n) and the final one.
+  /// one per k from min(n, options.max_snapshot_types) (n when the cap is
+  /// 0; k = n is the starting program) down to the final one.
   std::vector<Snapshot> snapshots;
 };
 

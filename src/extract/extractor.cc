@@ -178,8 +178,8 @@ util::StatusOr<ExtractionResult> SchemaExtractor::Run(
 }
 
 util::StatusOr<std::vector<SensitivityPoint>> SensitivitySweep(
-    graph::GraphView g, const ExtractorOptions& options,
-    size_t min_k) {
+    graph::GraphView g, const ExtractorOptions& options, size_t min_k,
+    size_t max_k) {
   using internal::MapHomesThrough;
   using internal::PollCancel;
   using internal::PreClusterState;
@@ -202,12 +202,13 @@ util::StatusOr<std::vector<SensitivityPoint>> SensitivitySweep(
   PreClusterState state =
       internal::PrepareForClustering(options, perfect, &roles, &roles_applied);
 
-  // Stage 2 once, all the way down, recording snapshots.
+  // Stage 2 once, all the way down, recording the snapshots at k <= max_k.
   cluster::ClusteringOptions copt;
   copt.psi = options.psi;
   copt.target_num_types = std::max<size_t>(min_k, 1);
   copt.enable_empty_type = options.enable_empty_type;
   copt.record_snapshots = true;
+  copt.max_snapshot_types = max_k;
   SCHEMEX_ASSIGN_OR_RETURN(
       cluster::ClusteringResult clustering,
       cluster::ClusterTypes(state.program, state.weights, copt, exec));

@@ -125,15 +125,26 @@ struct SensitivityPoint {
   size_t excess;
   size_t deficit;
   size_t defect;
+
+  friend bool operator==(const SensitivityPoint&,
+                         const SensitivityPoint&) = default;
 };
 
-/// Re-runs Stages 2+3 at every k from the perfect-type count down to
-/// `min_k` (single clustering run with snapshots) and measures the defect
-/// at each k — the sliding-scale mechanism of §6 and the curves of
-/// Figure 6. `options.target_num_types` is ignored.
+/// Re-runs Stages 2+3 at every k from min(n, `max_k`) down to `min_k`,
+/// where n is the perfect-type count and `max_k` = 0 means n (single
+/// clustering run with snapshots), and measures the defect at each k —
+/// the sliding-scale mechanism of §6 and the curves of Figure 6.
+/// `options.target_num_types` is ignored.
+///
+/// The cap is exact: the clustering always runs the full ladder down to
+/// `min_k`, recording a snapshot does not change it, and each point's
+/// recast and defect depend only on its own snapshot, so the capped
+/// sweep equals the uncapped sweep's points with k <= `max_k`. A knee
+/// search limited to k <= max_types therefore pays for max_types
+/// recasts instead of n.
 util::StatusOr<std::vector<SensitivityPoint>> SensitivitySweep(
-    graph::GraphView g, const ExtractorOptions& options,
-    size_t min_k = 1);
+    graph::GraphView g, const ExtractorOptions& options, size_t min_k = 1,
+    size_t max_k = 0);
 
 }  // namespace schemex::extract
 

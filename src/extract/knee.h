@@ -13,7 +13,9 @@ namespace schemex::extract {
 /// trade-off point and suggest a 'natural' typing (or a small set)".
 struct KneeOptions {
   /// Only consider typings with at most this many types (the regime
-  /// where a typing is usable as a schema). 0 = no cap.
+  /// where a typing is usable as a schema). 0 = no cap. Points above the
+  /// cap are never read, so a sweep capped at the same value
+  /// (SensitivitySweep's max_k) yields the same knee.
   size_t max_types = 20;
 
   /// Accept any k whose defect is within this factor of the best defect

@@ -19,6 +19,7 @@
 #include "typing/incremental.h"
 #include "typing/program_io.h"
 #include "util/string_util.h"
+#include "util/timer.h"
 
 namespace schemex::service {
 
@@ -86,12 +87,19 @@ Value WorkspaceSummary(const std::string& name, const catalog::Workspace& ws) {
   return Value::Object(WorkspaceSummaryFields(name, ws));
 }
 
+/// Wall time and size of the knee sweep behind an auto-k extract.
+struct SweepCost {
+  double ms = 0;
+  size_t points = 0;  ///< k values recast
+};
+
 /// The response fields extract and re_extract share: type counts, the
-/// defect, recast tallies and per-stage wall time. The stage times are
-/// also folded into the per-stage histograms (extract.stage1, ...) that
-/// `stats` reports.
+/// defect, recast tallies and per-stage wall time, plus the knee sweep's
+/// cost when `sweep` is set (auto-k extract). The stage times are also
+/// folded into the per-stage histograms (extract.stage1, ...,
+/// extract.sweep) that `stats` reports.
 void AddExtractionFields(const extract::ExtractionResult& result,
-                         MetricsRegistry* metrics,
+                         const SweepCost* sweep, MetricsRegistry* metrics,
                          std::map<std::string, Value>* f) {
   (*f)["num_perfect_types"] = JsonUint(result.num_perfect_types);
   (*f)["num_final_types"] = JsonUint(result.num_final_types);
@@ -115,6 +123,12 @@ void AddExtractionFields(const extract::ExtractionResult& result,
   tf["cluster_ms"] = Value::Number(t.cluster_ms);
   tf["recast_ms"] = Value::Number(t.recast_ms);
   tf["total_ms"] = Value::Number(t.total_ms);
+  if (sweep != nullptr) {
+    tf["sweep_ms"] = Value::Number(sweep->ms);
+    (*f)["sweep_points"] = JsonUint(sweep->points);
+    metrics->Record("extract.sweep", sweep->ms, /*ok=*/true,
+                    /*timeout=*/false);
+  }
   (*f)["timings"] = Value::Object(std::move(tf));
   metrics->Record("extract.stage1", t.stage1_ms, /*ok=*/true,
                   /*timeout=*/false);
@@ -283,8 +297,13 @@ util::StatusOr<Server::WorkspacePtr> Server::GetWorkspace(
 
 void Server::PutWorkspace(const std::string& name, catalog::Workspace ws) {
   auto snapshot = std::make_shared<const catalog::Workspace>(std::move(ws));
-  util::WriterMutexLock lock(cache_mu_);
-  cache_[name] = std::move(snapshot);
+  {
+    util::WriterMutexLock lock(cache_mu_);
+    cache_[name].swap(snapshot);
+  }
+  // `snapshot` now holds the replaced generation. If this was its last
+  // reference, freeing it (assignment, extraction cache, possibly the old
+  // graph and its mapping) happens here, off the lock every query takes.
 }
 
 util::StatusOr<json::Value> Server::Dispatch(const Request& req,
@@ -351,15 +370,21 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
   opt.check_cancel = DeadlineHook(deadline);
 
   // k == 0 = automatic: sweep the k axis and take the §8 knee within the
-  // epsilon tolerance.
+  // epsilon tolerance. The knee never picks k > max_types, so the sweep
+  // recasts only k <= max_types (0 = every k).
   size_t chosen_k = static_cast<size_t>(p.k);
   bool auto_k = chosen_k == 0;
+  SweepCost sweep_cost;
   if (auto_k) {
     extract::KneeOptions knee_opt;
     knee_opt.max_types = static_cast<size_t>(p.max_types);
     knee_opt.tolerance = p.epsilon;
-    SCHEMEX_ASSIGN_OR_RETURN(std::vector<extract::SensitivityPoint> sweep,
-                             extract::SensitivitySweep(g, opt));
+    util::WallTimer sweep_timer;
+    SCHEMEX_ASSIGN_OR_RETURN(
+        std::vector<extract::SensitivityPoint> sweep,
+        extract::SensitivitySweep(g, opt, /*min_k=*/1, knee_opt.max_types));
+    sweep_cost.ms = sweep_timer.ElapsedMillis();
+    sweep_cost.points = sweep.size();
     extract::Knee knee = extract::FindKnee(sweep, knee_opt);
     chosen_k = knee.k;  // 0 on an empty sweep: keep the perfect typing
   }
@@ -391,7 +416,7 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
   f["workspace"] = Value::String(p.workspace);
   f["k"] = JsonUint(chosen_k);
   f["auto_k"] = Value::Bool(auto_k);
-  AddExtractionFields(result, &metrics_, &f);
+  AddExtractionFields(result, auto_k ? &sweep_cost : nullptr, &metrics_, &f);
   if (!p.save_dir.empty()) f["saved_to"] = Value::String(p.save_dir);
 
   PutWorkspace(p.workspace, std::move(next));
@@ -773,7 +798,7 @@ util::StatusOr<json::Value> Server::HandleReExtract(
   f["workspace"] = Value::String(p.workspace);
   f["k"] = JsonUint(chosen_k);
   f["generation"] = JsonUint(next.generation);
-  AddExtractionFields(result, &metrics_, &f);
+  AddExtractionFields(result, /*sweep=*/nullptr, &metrics_, &f);
   {
     std::map<std::string, Value> i;
     i["stage1_incremental"] = Value::Bool(rstats.incremental_stage1);

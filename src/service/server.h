@@ -123,7 +123,8 @@ class Server {
   util::StatusOr<WorkspacePtr> GetWorkspace(const std::string& name) const
       SCHEMEX_EXCLUDES(cache_mu_);
 
-  /// Swaps `ws` in under the exclusive lock.
+  /// Swaps `ws` in under the exclusive lock; the replaced generation is
+  /// released after unlocking, so freeing it never stalls readers.
   void PutWorkspace(const std::string& name, catalog::Workspace ws)
       SCHEMEX_EXCLUDES(cache_mu_);
 

@@ -36,14 +36,13 @@ bool SetNonBlocking(int fd) {
 
 }  // namespace
 
-/// Per-connection state. The poll thread owns the fd and the framer;
-/// `mu` guards everything both the poll thread and pool workers touch
-/// (outbox, in_flight, closed, last_activity).
+/// Per-connection state. The poll thread owns the fd's lifecycle and the
+/// framer; `mu` guards everything both the poll thread and pool workers
+/// touch (outbox, in_flight, closed, read_closed, last_activity) and
+/// serializes the sends of both.
 struct TcpServer::Connection {
   int fd = -1;  ///< set once before the connection is published
-  // Poll-thread only: framing state and the read-side EOF/drain flag.
-  Framer framer;
-  bool read_closed = false;  ///< peer EOF or drain: no more requests framed
+  Framer framer;  ///< poll-thread only
 
   util::Mutex mu;
   std::string outbox SCHEMEX_GUARDED_BY(mu);  ///< responses awaiting write
@@ -51,12 +50,36 @@ struct TcpServer::Connection {
       0;  ///< dispatched requests without a response yet
   bool closed SCHEMEX_GUARDED_BY(mu) =
       false;  ///< fd closed; late responses are dropped
+  /// Peer EOF or drain: no more requests framed. Set by the poll thread;
+  /// a worker reads it to tell whether its reply lets the reaper close.
+  bool read_closed SCHEMEX_GUARDED_BY(mu) = false;
   /// Both the poll thread (reads, idle sweep) and pool workers (flushes)
   /// stamp activity, so the timestamp shares the connection mutex.
   Clock::time_point last_activity SCHEMEX_GUARDED_BY(mu);
 
   explicit Connection(const FramerOptions& fopt)
       : framer(fopt), last_activity(Clock::now()) {}
+
+  /// Sends as much of the outbox as the socket takes without blocking,
+  /// from whichever thread holds `mu`. Returns true if bytes remain; they
+  /// wait for POLLOUT on the poll thread. A peer that vanished mid-write
+  /// gets the rest dropped; the poll loop reaps it on POLLERR/POLLHUP.
+  bool FlushLocked(MetricsRegistry* metrics) SCHEMEX_REQUIRES(mu) {
+    while (!closed && !outbox.empty()) {
+      ssize_t n = ::send(fd, outbox.data(), outbox.size(), MSG_NOSIGNAL);
+      if (n > 0) {
+        metrics->AddCounter("tcp.bytes_out", n);
+        outbox.erase(0, static_cast<size_t>(n));
+        last_activity = Clock::now();
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      outbox.clear();
+      break;
+    }
+    return !closed && !outbox.empty();
+  }
 };
 
 struct TcpServer::WakeHandle {
@@ -179,33 +202,17 @@ void TcpServer::Wake() {
 void TcpServer::EnqueueResponse(const std::shared_ptr<Connection>& conn,
                                 std::string line) {
   line.push_back('\n');
-  {
-    util::MutexLock lock(conn->mu);
-    if (conn->closed) return;
-    conn->outbox += line;
-  }
-  // Opportunistic flush: on the poll thread this usually completes the
-  // write without waiting for the next POLLOUT round trip.
-  FlushWrites(conn);
+  util::MutexLock lock(conn->mu);
+  if (conn->closed) return;
+  conn->outbox += line;
+  // On the poll thread: whatever the socket does not take now gets
+  // POLLOUT when the loop next builds its poll set.
+  conn->FlushLocked(metrics_);
 }
 
 void TcpServer::FlushWrites(const std::shared_ptr<Connection>& conn) {
   util::MutexLock lock(conn->mu);
-  while (!conn->closed && !conn->outbox.empty()) {
-    ssize_t n = ::send(conn->fd, conn->outbox.data(), conn->outbox.size(),
-                       MSG_NOSIGNAL);
-    if (n > 0) {
-      metrics_->AddCounter("tcp.bytes_out", n);
-      conn->outbox.erase(0, static_cast<size_t>(n));
-      conn->last_activity = Clock::now();
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    // Peer vanished mid-write: drop the rest; the poll loop reaps the
-    // connection on its next POLLERR/POLLHUP.
-    conn->outbox.clear();
-    break;
-  }
+  conn->FlushLocked(metrics_);
 }
 
 void TcpServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
@@ -279,6 +286,9 @@ void TcpServer::DispatchLines(const std::shared_ptr<Connection>& conn) {
     // it only touches the connection (kept alive by the shared_ptr), the
     // wake handle (invalidated under its lock at shutdown), and the
     // server's metrics (the Server joins its pool before destruction).
+    // The worker sends its own reply; it wakes the poll thread only when
+    // a partial write needs POLLOUT or the reply lets a half-closed
+    // connection be reaped.
     auto wake = wake_;
     MetricsRegistry* metrics = metrics_;
     server_->HandleAsync(
@@ -286,6 +296,7 @@ void TcpServer::DispatchLines(const std::shared_ptr<Connection>& conn) {
           std::string out = SerializeResponse(resp);
           out.push_back('\n');
           bool dropped = false;
+          bool nudge = false;
           {
             util::MutexLock lock(conn->mu);
             --conn->in_flight;
@@ -293,9 +304,12 @@ void TcpServer::DispatchLines(const std::shared_ptr<Connection>& conn) {
               dropped = true;
             } else {
               conn->outbox += out;
+              nudge = conn->FlushLocked(metrics) ||
+                      (conn->read_closed && conn->in_flight == 0);
             }
           }
           if (dropped) metrics->AddCounter("tcp.responses_dropped", 1);
+          if (!nudge) return;
           util::MutexLock lock(wake->mu);
           if (wake->write_fd >= 0) {
             char b = 0;
@@ -308,6 +322,11 @@ void TcpServer::DispatchLines(const std::shared_ptr<Connection>& conn) {
 void TcpServer::ReadFrom(const std::shared_ptr<Connection>& conn) {
   char buf[16 * 1024];
   size_t total = 0;
+  auto end_reads = [&conn] {
+    conn->framer.Finish();
+    util::MutexLock lock(conn->mu);
+    conn->read_closed = true;
+  };
   for (;;) {
     ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
@@ -329,15 +348,13 @@ void TcpServer::ReadFrom(const std::shared_ptr<Connection>& conn) {
     }
     if (n == 0) {
       // Peer half-closed: a final unterminated line still counts.
-      conn->framer.Finish();
-      conn->read_closed = true;
+      end_reads();
       break;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
     // Hard receive error: treat as an abortive disconnect.
-    conn->framer.Finish();
-    conn->read_closed = true;
+    end_reads();
     break;
   }
   DispatchLines(conn);
@@ -359,7 +376,10 @@ void TcpServer::Loop() {
                                  std::max(0.0, options_.drain_timeout_s)));
       // Stop reading everywhere: in-flight work finishes, new requests
       // (even ones already buffered but unframed) are not admitted.
-      for (auto& c : conns_) c->read_closed = true;
+      for (auto& c : conns_) {
+        util::MutexLock lock(c->mu);
+        c->read_closed = true;
+      }
     }
 
     fds.clear();
@@ -369,9 +389,9 @@ void TcpServer::Loop() {
     if (accepting) fds.push_back({listen_fd_, POLLIN, 0});
     for (auto& c : conns_) {
       short events = 0;
-      if (!c->read_closed) events |= POLLIN;
       {
         util::MutexLock lock(c->mu);
+        if (!c->read_closed) events |= POLLIN;
         if (!c->outbox.empty()) events |= POLLOUT;
       }
       fds.push_back({c->fd, events, 0});

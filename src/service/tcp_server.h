@@ -48,10 +48,13 @@ struct TcpServerOptions {
 /// come back in completion order per connection — clients correlate by
 /// "id" — and connections never see each other's responses.
 ///
-/// All socket lifecycle stays on the poll thread; pool workers only
-/// append serialized responses to a per-connection outbox (mutex-guarded)
-/// and wake the poll thread through a self-pipe. A connection that dies
-/// with requests in flight simply drops their late responses.
+/// Socket lifecycle (accept, read, close) stays on the poll thread. A
+/// pool worker sends its own response under the connection's mutex, so
+/// a reply never waits for a poll-loop round trip; only the tail of a
+/// partial write stays in the per-connection outbox for POLLOUT, and
+/// then (or when the reply lets a half-closed connection be reaped) the
+/// worker wakes the poll thread through a self-pipe. A connection that
+/// dies with requests in flight simply drops their late responses.
 ///
 /// Transport counters (tcp.connections_accepted / _open / _refused,
 /// tcp.bytes_in / _out, tcp.lines_rejected, tcp.responses_dropped) are
@@ -101,7 +104,8 @@ class TcpServer {
   void DispatchLines(const std::shared_ptr<Connection>& conn);
   void EnqueueResponse(const std::shared_ptr<Connection>& conn,
                        std::string line);
-  /// Flushes as much of the outbox as the socket accepts right now.
+  /// Flushes as much of the outbox as the socket accepts right now (the
+  /// POLLOUT half of Connection::FlushLocked).
   void FlushWrites(const std::shared_ptr<Connection>& conn);
   void CloseConnection(const std::shared_ptr<Connection>& conn);
   void Wake();

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "cluster/distance.h"
 #include "cluster/greedy.h"
+#include "gen/dbg.h"
 #include "tests/test_util.h"
+#include "typing/perfect_typing.h"
 #include "typing/typing_program.h"
 
 namespace schemex::cluster {
@@ -423,6 +427,56 @@ TEST(ClusterTest, DeterministicAcrossRuns) {
                        ClusterTypes(p, {5, 4, 3, 2, 1, 1}, opt));
   EXPECT_EQ(r1.final_map, r2.final_map);
   EXPECT_EQ(r1.total_distance, r2.total_distance);
+}
+
+TEST(ClusterTest, SnapshotCapKeepsLadderAndRecordsTheTail) {
+  // Capping the recorded snapshots must not change the clustering: the
+  // same steps and final program, and exactly the uncapped run's
+  // snapshots with at most `cap` types.
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
+                       typing::PerfectTypingViaHashRefinement(g));
+  const size_t n = stage1.program.NumTypes();
+  ASSERT_GT(n, 20u);
+  ClusteringOptions opt;
+  opt.record_snapshots = true;
+  ASSERT_OK_AND_ASSIGN(ClusteringResult full,
+                       ClusterTypes(stage1.program, stage1.weight, opt));
+  ASSERT_EQ(full.snapshots.size(), n);
+  for (size_t cap : {size_t{1}, size_t{6}, size_t{20}, n - 1, n, n + 5}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    opt.max_snapshot_types = cap;
+    ASSERT_OK_AND_ASSIGN(ClusteringResult capped,
+                         ClusterTypes(stage1.program, stage1.weight, opt));
+    ASSERT_EQ(capped.steps.size(), full.steps.size());
+    for (size_t i = 0; i < full.steps.size(); ++i) {
+      EXPECT_EQ(capped.steps[i].num_types_after,
+                full.steps[i].num_types_after);
+      EXPECT_EQ(capped.steps[i].source, full.steps[i].source);
+      EXPECT_EQ(capped.steps[i].dest, full.steps[i].dest);
+      EXPECT_EQ(capped.steps[i].simple_d, full.steps[i].simple_d);
+      EXPECT_EQ(capped.steps[i].cost, full.steps[i].cost);
+    }
+    EXPECT_EQ(capped.final_program, full.final_program);
+    EXPECT_EQ(capped.final_map, full.final_map);
+    EXPECT_EQ(capped.final_weights, full.final_weights);
+    EXPECT_EQ(capped.total_distance, full.total_distance);
+
+    std::vector<const Snapshot*> tail;
+    for (const Snapshot& snap : full.snapshots) {
+      if (snap.num_types <= cap) tail.push_back(&snap);
+    }
+    ASSERT_EQ(capped.snapshots.size(), tail.size());
+    EXPECT_EQ(capped.snapshots.size(), std::min(n, cap));
+    for (size_t i = 0; i < tail.size(); ++i) {
+      SCOPED_TRACE("k " + std::to_string(tail[i]->num_types));
+      EXPECT_EQ(capped.snapshots[i].num_types, tail[i]->num_types);
+      EXPECT_EQ(capped.snapshots[i].program, tail[i]->program);
+      EXPECT_EQ(capped.snapshots[i].stage1_to_snapshot,
+                tail[i]->stage1_to_snapshot);
+      EXPECT_EQ(capped.snapshots[i].total_distance, tail[i]->total_distance);
+    }
+  }
 }
 
 }  // namespace

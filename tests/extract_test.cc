@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "extract/extractor.h"
+#include "extract/knee.h"
 #include "gen/dbg.h"
 #include "gen/table1.h"
 #include "json/import.h"
@@ -139,6 +143,66 @@ TEST(SensitivityTest, MinKRespected) {
   EXPECT_EQ(pts.back().k, 2u);
 }
 
+/// Field-by-field equality of two sweeps, so a mismatch names the k.
+void ExpectSamePoints(const std::vector<SensitivityPoint>& got,
+                      const std::vector<SensitivityPoint>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("k " + std::to_string(want[i].k));
+    EXPECT_EQ(got[i].k, want[i].k);
+    EXPECT_EQ(got[i].total_distance, want[i].total_distance);
+    EXPECT_EQ(got[i].excess, want[i].excess);
+    EXPECT_EQ(got[i].deficit, want[i].deficit);
+    EXPECT_EQ(got[i].defect, want[i].defect);
+  }
+}
+
+/// A sweep capped at max_k must be the full sweep's points with
+/// k <= max_k, and the knee over it must be the full sweep's knee under
+/// max_types = max_k; max_k = 0 is the full sweep.
+void ExpectCappedSweepsExact(graph::GraphView g) {
+  ExtractorOptions opt;
+  ASSERT_OK_AND_ASSIGN(std::vector<SensitivityPoint> full,
+                       SensitivitySweep(g, opt));
+  ASSERT_FALSE(full.empty());
+  const size_t n = full.front().k;  // the perfect typing
+  ASSERT_GT(n, 20u);
+  {
+    ASSERT_OK_AND_ASSIGN(std::vector<SensitivityPoint> uncapped,
+                         SensitivitySweep(g, opt, /*min_k=*/1, /*max_k=*/0));
+    ExpectSamePoints(uncapped, full);
+  }
+  for (size_t m : {size_t{1}, size_t{6}, size_t{20}, n - 1, n, n + 5}) {
+    SCOPED_TRACE("max_k " + std::to_string(m));
+    ASSERT_OK_AND_ASSIGN(std::vector<SensitivityPoint> capped,
+                         SensitivitySweep(g, opt, /*min_k=*/1, m));
+    std::vector<SensitivityPoint> tail;
+    for (const SensitivityPoint& p : full) {
+      if (p.k <= m) tail.push_back(p);
+    }
+    EXPECT_EQ(capped.size(), std::min(n, m));
+    ExpectSamePoints(capped, tail);
+    KneeOptions knee;
+    knee.max_types = m;
+    Knee want = FindKnee(full, knee);
+    Knee got = FindKnee(capped, knee);
+    EXPECT_EQ(got.k, want.k);
+    EXPECT_EQ(got.defect, want.defect);
+  }
+}
+
+TEST(SensitivityTest, CappedSweepIsFullSweepTailOnDbg) {
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ExpectCappedSweepsExact(g);
+}
+
+TEST(SensitivityTest, CappedSweepIsFullSweepTailOnTable1) {
+  const gen::Table1Entry db2 = gen::Table1Datasets()[1];
+  ASSERT_EQ(db2.db_name, "DB2");
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeTable1Database(db2));
+  ExpectCappedSweepsExact(g);
+}
+
 TEST(CancellationTest, CheckCancelAbortsBetweenStages) {
   // A counting hook makes cancellation deterministic: the first poll
   // (the Stage-1/2 boundary) succeeds, the second (Stage-2/3) cancels,
@@ -184,6 +248,26 @@ TEST(CancellationTest, SweepPollsBetweenSnapshots) {
   };
   auto pts = SensitivitySweep(g, opt);
   EXPECT_EQ(pts.status().code(), util::StatusCode::kDeadlineExceeded);
+
+  // A capped sweep still polls through its recasts: a hook that fires on
+  // the last poll of a clean capped run stops it after clustering.
+  opt.parallelism = 1;  // a fixed poll count
+  int polls = 0;
+  opt.check_cancel = [&polls]() -> util::Status {
+    ++polls;
+    return util::Status::OK();
+  };
+  ASSERT_OK(SensitivitySweep(g, opt, /*min_k=*/1, /*max_k=*/6).status());
+  const int clean_polls = polls;
+  polls = 0;
+  opt.check_cancel = [&polls, clean_polls]() -> util::Status {
+    return ++polls >= clean_polls
+               ? util::Status::DeadlineExceeded("budget spent")
+               : util::Status::OK();
+  };
+  pts = SensitivitySweep(g, opt, /*min_k=*/1, /*max_k=*/6);
+  EXPECT_EQ(pts.status().code(), util::StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(polls, clean_polls);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 //  - ThreadPool Shutdown racing Submit and a second Shutdown
 //  - TcpServer::Shutdown called concurrently (the join must serialize)
 //  - SaveWorkspace racing SaveWorkspace into the same directory
+//  - a replaced workspace generation freed under the cache lock
 //
 // The suites run in the plain build too, but their teeth are the TSan CI
 // lane (`cmake --preset tsan`): the counts below are chosen so every
@@ -15,9 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -25,6 +29,7 @@
 
 #include "catalog/workspace.h"
 #include "extract/extractor.h"
+#include "extract/incremental_extract.h"
 #include "gen/dbg.h"
 #include "service/metrics.h"
 #include "service/request.h"
@@ -215,6 +220,45 @@ TEST(TcpServerShutdownRegression, ConcurrentShutdownWithInFlightRequests) {
   for (auto& t : shutters) t.join();
   EXPECT_FALSE(tcp.running());
   EXPECT_EQ(tcp.open_connections(), 0u);
+}
+
+TEST(WorkspaceReplaceRegression, OldGenerationIsFreedOffTheCacheLock) {
+  // Replacing a workspace can drop the last reference to the old
+  // generation: its assignment, its extraction cache and, after a load,
+  // possibly the old graph and its mapping. Every query takes the cache
+  // lock shared, so that teardown must run after the swap unlocks. The
+  // old cache's deleter stands in for a slow teardown: it starts a
+  // reader and waits for it, which only finishes if the lock is free.
+  service::Server server;
+  std::thread reader;
+  bool reader_finished = false;
+  auto deleter = [&server, &reader,
+                  &reader_finished](const extract::ExtractionCache* cache) {
+    auto names = std::make_shared<std::promise<size_t>>();
+    std::future<size_t> done = names->get_future();
+    reader = std::thread(
+        [&server, names] { names->set_value(server.WorkspaceNames().size()); });
+    reader_finished = done.wait_for(std::chrono::seconds(2)) ==
+                      std::future_status::ready;
+    delete cache;
+  };
+  auto fig2 = [] {
+    catalog::Workspace ws;
+    ws.SetGraph(test::MakeFigure2Database());
+    ws.assignment = typing::TypeAssignment(ws.graph->NumObjects());
+    return ws;
+  };
+  {
+    catalog::Workspace old_gen = fig2();
+    old_gen.extraction_cache = std::shared_ptr<const extract::ExtractionCache>(
+        new extract::ExtractionCache(), deleter);
+    ASSERT_OK(server.InstallWorkspace("ws", std::move(old_gen)));
+  }
+  ASSERT_OK(server.InstallWorkspace("ws", fig2()));  // frees the old one
+  ASSERT_TRUE(reader.joinable()) << "the old generation was not freed";
+  reader.join();
+  EXPECT_TRUE(reader_finished)
+      << "a reader stalled while the replaced generation was freed";
 }
 
 TEST(WorkspaceSaveRegression, ConcurrentSavesNeverMixGenerations) {

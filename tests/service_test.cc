@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -12,6 +13,7 @@
 
 #include "catalog/workspace.h"
 #include "extract/extractor.h"
+#include "extract/knee.h"
 #include "gen/dbg.h"
 #include "gen/random_graph.h"
 #include "json/json.h"
@@ -103,6 +105,9 @@ TEST_F(ServiceTest, ExtractVerbReplacesSchema) {
   EXPECT_EQ(Field(resp.result, "num_final_types").AsNumber(), 6);
   EXPECT_GT(Field(resp.result, "num_perfect_types").AsNumber(), 6);
   EXPECT_FALSE(Field(resp.result, "auto_k").AsBool());
+  // A fixed k runs no knee sweep, so the response reports none.
+  EXPECT_EQ(resp.result.AsObject().count("sweep_points"), 0u);
+  EXPECT_EQ(Field(resp.result, "timings").AsObject().count("sweep_ms"), 0u);
 
   // The workspace now has a schema: `type` with no inline program works.
   Request type_req = MakeRequest(Verb::kType);
@@ -118,17 +123,55 @@ TEST_F(ServiceTest, ExtractVerbReplacesSchema) {
 }
 
 TEST_F(ServiceTest, ExtractAutoKPicksKnee) {
-  Server server;
-  ASSERT_OK(server.InstallWorkspace("dbg", MakeDbgWorkspace()));
-  Request req = MakeRequest(Verb::kExtract);
-  req.extract.workspace = "dbg";
-  req.extract.k = 0;  // auto
-  Response resp = server.Handle(req);
-  ASSERT_OK(resp.status);
-  EXPECT_TRUE(Field(resp.result, "auto_k").AsBool());
-  double k = Field(resp.result, "k").AsNumber();
-  EXPECT_GE(k, 1);
-  EXPECT_LE(k, 20);
+  // The server sweeps only k <= max_types; it must still pick the knee of
+  // an uncapped in-process sweep and return that k's extraction.
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset(3));
+  ASSERT_OK_AND_ASSIGN(std::vector<extract::SensitivityPoint> full,
+                       extract::SensitivitySweep(g, {}));
+  for (uint64_t max_types : {20, 5, 0}) {
+    SCOPED_TRACE("max_types " + std::to_string(max_types));
+    extract::KneeOptions knee;
+    knee.max_types = max_types;
+    const size_t want_k = extract::FindKnee(full, knee).k;
+    extract::ExtractorOptions opt;
+    opt.target_num_types = want_k;
+    ASSERT_OK_AND_ASSIGN(extract::ExtractionResult want,
+                         extract::SchemaExtractor(opt).Run(g));
+
+    Server server;
+    ASSERT_OK(server.InstallWorkspace("dbg", MakeDbgWorkspace()));
+    Request req = MakeRequest(Verb::kExtract);
+    req.extract.workspace = "dbg";
+    req.extract.k = 0;  // auto
+    req.extract.max_types = max_types;
+    Response resp = server.Handle(req);
+    ASSERT_OK(resp.status);
+    const Value& r = resp.result;
+    EXPECT_TRUE(Field(r, "auto_k").AsBool());
+    EXPECT_EQ(Field(r, "k").AsNumber(), want_k);
+    EXPECT_EQ(Field(r, "num_final_types").AsNumber(), want.num_final_types);
+    EXPECT_EQ(Field(Field(r, "defect"), "excess").AsNumber(),
+              want.defect.excess);
+    EXPECT_EQ(Field(Field(r, "defect"), "deficit").AsNumber(),
+              want.defect.deficit);
+    EXPECT_EQ(Field(Field(r, "defect"), "defect").AsNumber(),
+              want.defect.defect());
+    // The sweep recast one point per k it could pick, and says so.
+    const size_t want_points =
+        max_types == 0 ? full.size() : std::min<size_t>(max_types, full.size());
+    EXPECT_EQ(Field(r, "sweep_points").AsNumber(), want_points);
+    EXPECT_GE(Field(Field(r, "timings"), "sweep_ms").AsNumber(), 0);
+
+    Response stats = server.Handle(MakeRequest(Verb::kStats));
+    ASSERT_OK(stats.status);
+    bool sweep_histogram = false;
+    for (const Value& v : Field(stats.result, "verbs").AsArray()) {
+      if (Field(v, "verb").AsString() != "extract.sweep") continue;
+      sweep_histogram = true;
+      EXPECT_EQ(Field(v, "count").AsNumber(), 1);
+    }
+    EXPECT_TRUE(sweep_histogram);
+  }
 }
 
 TEST_F(ServiceTest, ApplyDeltaTypesComplexArrivals) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -377,6 +378,61 @@ TEST_F(TcpServiceTest, StatsExposesTransportCounters) {
   EXPECT_GT(Field(counters, "tcp.bytes_out").AsNumber(), 0);
   EXPECT_EQ(Field(counters, "tcp.connections_open").AsNumber(), 1);
   EXPECT_GE(Field(counters, "tcp.connections_accepted").AsNumber(), 1);
+}
+
+TEST_F(TcpServiceTest, ResponseLargerThanSocketBuffersArrivesWhole) {
+  // Workers send their own replies; only what the socket does not take
+  // at once waits for POLLOUT on the poll thread. A ~7.5 MB query reply
+  // to a client that has not read yet outgrows the loopback buffers, so
+  // the send stalls part-way and the poll thread must finish it.
+  Boot();
+  constexpr size_t kObjects = 100'000;
+  const std::string pad(48, 'x');
+  graph::DataGraph g;
+  for (size_t i = 0; i < kObjects; ++i) g.AddComplex(pad + std::to_string(i));
+  catalog::Workspace ws;
+  ws.SetGraph(g);
+  ws.assignment = typing::TypeAssignment(ws.graph->NumObjects());
+  ASSERT_OK(server_->InstallWorkspace("big", std::move(ws)));
+
+  TcpClient client = Connect();
+  ASSERT_OK(client.SendLine(util::StringPrintf(
+      "{\"id\":7,\"verb\":\"query\",\"params\":{\"workspace\":\"big\","
+      "\"query\":\"%%\",\"limit\":%zu}}",
+      kObjects)));
+  // Read nothing until the server's writes stall: tcp.bytes_out stops
+  // growing (for 200 ms) short of the whole reply.
+  auto bytes_out = [this] {
+    for (const auto& [name, value] : server_->metrics().CounterSnapshot()) {
+      if (name == "tcp.bytes_out") return value;
+    }
+    return int64_t{0};
+  };
+  int64_t stalled = 0;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (int stable = 0;
+       stable < 10 && std::chrono::steady_clock::now() < give_up;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int64_t now = bytes_out();
+    stable = now > 0 && now == stalled ? stable + 1 : 0;
+    stalled = now;
+  }
+  ASSERT_GT(stalled, 0) << "no reply bytes were sent";
+
+  ASSERT_OK_AND_ASSIGN(std::string line, client.ReadLine(/*timeout_s=*/60.0));
+  EXPECT_LT(static_cast<size_t>(stalled), line.size() + 1)
+      << "the reply fit the socket buffers; POLLOUT was never needed";
+  ASSERT_OK_AND_ASSIGN(Value v, json::Parse(line));
+  ASSERT_TRUE(Field(v, "ok").AsBool());
+  EXPECT_EQ(Field(v, "id").AsNumber(), 7);
+  const Value& r = Field(v, "result");
+  EXPECT_EQ(Field(r, "count").AsNumber(), kObjects);
+  const std::vector<Value>& objects = Field(r, "objects").AsArray();
+  ASSERT_EQ(objects.size(), kObjects);
+  EXPECT_EQ(Field(objects.front(), "name").AsString(), pad + "0");
+  EXPECT_EQ(Field(objects.back(), "name").AsString(),
+            pad + std::to_string(kObjects - 1));
 }
 
 }  // namespace
