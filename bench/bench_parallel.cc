@@ -1,14 +1,18 @@
 // Parallel Stages 1 and 3: sharded wall-clock vs the one-thread run at
-// 1/2/4/8 worker threads on scaled DBG-style data. (Stage 2 runs on one
-// thread; its cost is in bench_scale's cluster_ms column.)
+// 1/2/4/8 worker threads, on scaled DBG data (many Stage-1 types, few
+// objects each) and on Table-1 DB1 x100 (the wide case: 100k objects in
+// 40 Stage-1 types, where an inline run pays the most). (Stage 2 runs on
+// one thread; its cost is in bench_scale's cluster_ms column.)
 //
 // Emits one JSON row per measurement (machine-consumable, same schema as
 // `bench_scale --json`):
 //
-//   {"bench":"parallel_stage1","algo":"hash","objects":N,"edges":M,
-//    "threads":T,"stage1_ms":X,"speedup":S}
-//   {"bench":"parallel_stage3","algo":"recast","objects":N,"edges":M,
-//    "threads":T,"recast_ms":X,"speedup":S}
+//   {"bench":"parallel_stage1","dataset":"dbg"|"db1","scale":S,
+//    "algo":"hash","objects":N,"edges":M,"threads":T,"stage1_ms":X,
+//    "speedup":S}
+//   {"bench":"parallel_stage3","dataset":"dbg"|"db1","scale":S,
+//    "algo":"recast","objects":N,"edges":M,"threads":T,"recast_ms":X,
+//    "speedup":S}
 //
 // "speedup" is one-thread-ms / this-row-ms, so the reference row itself
 // reports 1.0. Every sharded run is verified bit-identical to the
@@ -18,9 +22,12 @@
 // machine to have cores — the row stream includes a "context" row with
 // hardware_concurrency so downstream plots can annotate single-core boxes.
 //
+// The recast runs over the homes of a clustering at k = 6 on DBG and
+// k = 10 on DB1.
+//
 // Flags:
-//   --smoke   5x DBG scale and 1 repetition (CI-sized); default is 25x
-//             and best-of-3.
+//   --smoke   DBG x5 and DB1 x1, 1 repetition (CI-sized); default is
+//             DBG x25 and DB1 x100, best-of-3.
 
 #include <algorithm>
 #include <cstdio>
@@ -32,6 +39,7 @@
 #include "cluster/greedy.h"
 #include "gen/dbg.h"
 #include "gen/spec.h"
+#include "gen/table1.h"
 #include "typing/perfect_typing.h"
 #include "typing/recast.h"
 #include "util/parallel_for.h"
@@ -55,8 +63,19 @@ std::pair<double, Result> Measure(int reps, Fn&& fn) {
   return {ms, std::move(out)};
 }
 
-int Run(int scale, int reps) {
-  gen::DatasetSpec spec = gen::DbgSpec();
+/// One input: DBG or Table-1 DB1 at a scale, clustered to `k` types
+/// for the recast.
+struct Dataset {
+  const char* name;
+  int scale;
+  size_t k;
+};
+
+int Run(const Dataset& ds, int reps) {
+  const int scale = ds.scale;
+  gen::DatasetSpec spec = std::strcmp(ds.name, "dbg") == 0
+                              ? gen::DbgSpec()
+                              : gen::Table1Datasets().front().spec;
   for (auto& t : spec.types) t.count *= static_cast<size_t>(scale);
   auto g = gen::Generate(spec, 4242);
   if (!g.ok()) {
@@ -65,9 +84,10 @@ int Run(int scale, int reps) {
   }
 
   std::printf(
-      "{\"bench\":\"parallel_stage1\",\"context\":true,\"scale\":%d,"
-      "\"objects\":%zu,\"edges\":%zu,\"hardware_concurrency\":%u}\n",
-      scale, g->NumObjects(), g->NumEdges(),
+      "{\"bench\":\"parallel_stage1\",\"context\":true,\"dataset\":\"%s\","
+      "\"scale\":%d,\"objects\":%zu,\"edges\":%zu,"
+      "\"hardware_concurrency\":%u}\n",
+      ds.name, scale, g->NumObjects(), g->NumEdges(),
       std::thread::hardware_concurrency());
 
   // ---- Stage 1: hash refinement, sharded hashing + sequential reduce.
@@ -94,16 +114,17 @@ int Run(int scale, int reps) {
       return 1;
     }
     std::printf(
-        "{\"bench\":\"parallel_stage1\",\"algo\":\"hash\",\"objects\":%zu,"
-        "\"edges\":%zu,\"threads\":%zu,\"stage1_ms\":%.3f,\"speedup\":%.3f}\n",
-        g->NumObjects(), g->NumEdges(), threads, ms,
+        "{\"bench\":\"parallel_stage1\",\"dataset\":\"%s\",\"scale\":%d,"
+        "\"algo\":\"hash\",\"objects\":%zu,\"edges\":%zu,\"threads\":%zu,"
+        "\"stage1_ms\":%.3f,\"speedup\":%.3f}\n",
+        ds.name, scale, g->NumObjects(), g->NumEdges(), threads, ms,
         ms > 0 ? seq1_ms / ms : 0.0);
   }
 
   // ---- Stage 3: recast (parallel GFP + sharded sweep + fallback), over
-  // the homes of a k=6 clustering.
+  // the homes of a k-type clustering.
   cluster::ClusteringOptions copt;
-  copt.target_num_types = 6;
+  copt.target_num_types = ds.k;
   auto clustering = cluster::ClusterTypes(stage1.program, stage1.weight, copt);
   if (!clustering.ok()) {
     std::fprintf(stderr, "cluster: %s\n",
@@ -142,9 +163,10 @@ int Run(int scale, int reps) {
       return 1;
     }
     std::printf(
-        "{\"bench\":\"parallel_stage3\",\"algo\":\"recast\",\"objects\":%zu,"
-        "\"edges\":%zu,\"threads\":%zu,\"recast_ms\":%.3f,\"speedup\":%.3f}\n",
-        g->NumObjects(), g->NumEdges(), threads, ms,
+        "{\"bench\":\"parallel_stage3\",\"dataset\":\"%s\",\"scale\":%d,"
+        "\"algo\":\"recast\",\"objects\":%zu,\"edges\":%zu,"
+        "\"threads\":%zu,\"recast_ms\":%.3f,\"speedup\":%.3f}\n",
+        ds.name, scale, g->NumObjects(), g->NumEdges(), threads, ms,
         ms > 0 ? seq3_ms / ms : 0.0);
   }
   return 0;
@@ -162,5 +184,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  return Run(smoke ? 5 : 25, smoke ? 1 : 3);
+  const int reps = smoke ? 1 : 3;
+  const Dataset datasets[] = {{"dbg", smoke ? 5 : 25, 6},
+                              {"db1", smoke ? 1 : 100, 10}};
+  for (const Dataset& ds : datasets) {
+    if (int rc = Run(ds, reps); rc != 0) return rc;
+  }
+  return 0;
 }

@@ -1,8 +1,11 @@
 #include "catalog/workspace.h"
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "graph/graph_io.h"
 #include "snapshot/snapshot.h"
@@ -68,54 +71,66 @@ util::Status InFile(const char* file, const util::Status& s) {
   return util::Status(s.code(), std::string(file) + ": " + s.message());
 }
 
-std::string AssignmentToTsv(const typing::TypeAssignment& tau) {
-  std::string out;
-  for (graph::ObjectId o = 0; o < tau.NumObjects(); ++o) {
-    const auto& types = tau.TypesOf(o);
-    if (types.empty()) continue;
-    out += util::StringPrintf("%u\t", o);
-    for (size_t i = 0; i < types.size(); ++i) {
-      if (i > 0) out += ',';
-      out += util::StringPrintf("%d", types[i]);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
+// Parses each line in place: "<object-id>\t<type-id>[,<type-id>...]",
+// with blank and '#' lines skipped and whitespace allowed around the line
+// and around each type id.
 util::StatusOr<typing::TypeAssignment> AssignmentFromTsv(
-    const std::string& text, size_t num_objects) {
+    std::string_view text, size_t num_objects) {
   typing::TypeAssignment tau(num_objects);
   size_t line_no = 0;
-  for (const std::string& line : util::Split(text, '\n')) {
+  while (!text.empty()) {
     ++line_no;
-    std::string_view trimmed = util::Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
+    const size_t eol = text.find('\n');
+    std::string_view line = util::Trim(text.substr(0, eol));
+    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+    if (line.empty() || line[0] == '#') continue;
     auto fail = [&](const char* why) {
       return util::Status::ParseError(
           util::StringPrintf("assignment.tsv line %zu: %s", line_no, why));
     };
-    size_t tab = trimmed.find('\t');
+    size_t tab = line.find('\t');
     if (tab == std::string_view::npos) return fail("missing tab");
     uint64_t obj = 0;
-    if (!util::ParseUint64(trimmed.substr(0, tab), &obj) ||
-        obj >= num_objects) {
+    if (!util::ParseUint64(line.substr(0, tab), &obj) || obj >= num_objects) {
       return fail("bad object id");
     }
-    for (const std::string& tok :
-         util::Split(trimmed.substr(tab + 1), ',')) {
+    std::string_view types = line.substr(tab + 1);
+    while (true) {
+      const size_t comma = types.find(',');
       uint64_t type = 0;
-      if (!util::ParseUint64(util::Trim(tok), &type)) {
+      if (!util::ParseUint64(util::Trim(types.substr(0, comma)), &type) ||
+          type > static_cast<uint64_t>(
+                     std::numeric_limits<typing::TypeId>::max())) {
         return fail("bad type id");
       }
       tau.Assign(static_cast<graph::ObjectId>(obj),
                  static_cast<typing::TypeId>(type));
+      if (comma == std::string_view::npos) break;
+      types.remove_prefix(comma + 1);
     }
   }
   return tau;
 }
 
 }  // namespace
+
+std::string AssignmentToTsv(const typing::TypeAssignment& tau) {
+  std::string out;
+  char buf[16] = {};  // a uint32_t object id or int32_t type id + 1 byte
+  for (graph::ObjectId o = 0; o < tau.NumObjects(); ++o) {
+    const std::vector<typing::TypeId>& types = tau.TypesOf(o);
+    if (types.empty()) continue;
+    char* end = std::to_chars(buf, buf + sizeof(buf), o).ptr;
+    *end++ = '\t';
+    out.append(buf, end);
+    for (size_t i = 0; i < types.size(); ++i) {
+      end = std::to_chars(buf, buf + sizeof(buf), types[i]).ptr;
+      *end++ = i + 1 < types.size() ? ',' : '\n';
+      out.append(buf, end);
+    }
+  }
+  return out;
+}
 
 util::Status Workspace::Validate() const {
   if (graph == nullptr) {

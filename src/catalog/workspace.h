@@ -110,6 +110,12 @@ struct Workspace {
 /// self-contained graph; the caller's workspace is not modified.
 util::Status SaveWorkspace(const Workspace& ws, const std::string& dir);
 
+/// The assignment.tsv text SaveWorkspace writes: one
+/// "<object-id>\t<type-id>[,<type-id>...]" row per typed object, in
+/// object order, with each object's type ids ascending. Untyped objects
+/// have no row.
+std::string AssignmentToTsv(const typing::TypeAssignment& tau);
+
 /// How LoadWorkspace obtained the graph, for callers that surface it
 /// (the service's load_workspace response, the snapshot CLI).
 struct LoadInfo {

@@ -174,6 +174,7 @@ util::StatusOr<ExtractionResult> SchemaExtractor::Run(
       internal::FinishExtraction(options_, g, std::move(perfect), exec));
   result.timings.stage1_ms = stage1_ms;
   result.timings.total_ms = total_timer.ElapsedMillis();
+  result.timings.threads = threads;
   return result;
 }
 

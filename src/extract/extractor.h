@@ -67,6 +67,9 @@ struct StageTimings {
   double cluster_ms = 0; ///< Stage 2 clustering or its reuse (0 when skipped)
   double recast_ms = 0;  ///< home remap + Stage 3 + defect measurement
   double total_ms = 0;
+  /// Workers Stages 1 and 3 ran on: the resolved `parallelism` (1 =
+  /// inline).
+  size_t threads = 1;
 };
 
 /// Everything the pipeline produced, including intermediates for

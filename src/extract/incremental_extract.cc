@@ -108,6 +108,7 @@ util::StatusOr<ExtractionResult> ReExtract(
                                  reuse_ptr, &st.stage2_reused));
   result.timings.stage1_ms = stage1_ms;
   result.timings.total_ms = total_timer.ElapsedMillis();
+  result.timings.threads = threads;
   return result;
 }
 

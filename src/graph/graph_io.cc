@@ -1,6 +1,11 @@
 #include "graph/graph_io.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstdint>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "graph/graph_builder.h"
@@ -10,25 +15,33 @@ namespace schemex::graph {
 
 namespace {
 
-std::string EscapeValue(std::string_view v) {
-  std::string out = "\"";
-  for (char c : v) {
-    switch (c) {
+// Appends `v` in double quotes with C-style \" \\ \n escapes; each run
+// of plain characters is copied with one append.
+void AppendQuoted(std::string_view v, std::string* out) {
+  out->push_back('"');
+  size_t run = 0;
+  for (size_t i = 0; i < v.size(); ++i) {
+    char esc = 0;
+    switch (v[i]) {
       case '"':
-        out += "\\\"";
+        esc = '"';
         break;
       case '\\':
-        out += "\\\\";
+        esc = '\\';
         break;
       case '\n':
-        out += "\\n";
+        esc = 'n';
         break;
       default:
-        out += c;
+        continue;
     }
+    out->append(v.substr(run, i - run));
+    out->push_back('\\');
+    out->push_back(esc);
+    run = i + 1;
   }
-  out += '"';
-  return out;
+  out->append(v.substr(run));
+  out->push_back('"');
 }
 
 // Parses a quoted value starting at s[pos] == '"'. On success sets *out and
@@ -57,42 +70,74 @@ size_t ParseQuoted(std::string_view s, size_t pos, std::string* out) {
   return std::string_view::npos;
 }
 
-std::string DisplayName(GraphView g, ObjectId o) {
+/// Room for "_o" plus the decimal digits of any ObjectId.
+using NameBuf = std::array<char, 16>;
+
+// The object's name, or the synthesized "_o<id>" of an unnamed object
+// (formatted into `buf`, which must outlive the returned view).
+std::string_view DisplayName(GraphView g, ObjectId o, NameBuf& buf) {
   std::string_view n = g.Name(o);
-  if (!n.empty()) return std::string(n);
-  return util::StringPrintf("_o%u", o);
+  if (!n.empty()) return n;
+  buf[0] = '_';
+  buf[1] = 'o';
+  char* end = std::to_chars(buf.data() + 2, buf.data() + buf.size(), o).ptr;
+  return std::string_view(buf.data(), static_cast<size_t>(end - buf.data()));
 }
 
 }  // namespace
 
 std::string WriteGraph(GraphView g) {
-  std::string out;
-  out += util::StringPrintf("# schemex graph: %zu objects, %zu edges\n",
-                            g.NumObjects(), g.NumEdges());
+  const LabelInterner& labels = g.labels();
+  // Canonical edge order: by label *name* (label ids depend on interning
+  // order, which a round-trip does not preserve), then by target id, so
+  // the text is identical regardless of builder insertion order. The
+  // table is ranked by name once; each row then sorts on integer
+  // (rank, target) keys, which order exactly as (name, target).
+  std::vector<LabelId> by_rank(labels.size());
+  std::iota(by_rank.begin(), by_rank.end(), LabelId{0});
+  // DETERMINISM: interned names are unique, so comparing them is a total
+  // order over label ids.
+  std::sort(by_rank.begin(), by_rank.end(), [&](LabelId a, LabelId b) {
+    return labels.Name(a) < labels.Name(b);
+  });
+  std::vector<uint64_t> rank(labels.size());
+  for (size_t r = 0; r < by_rank.size(); ++r) rank[by_rank[r]] = r;
+
+  std::string out = util::StringPrintf(
+      "# schemex graph: %zu objects, %zu edges\n", g.NumObjects(),
+      g.NumEdges());
+  NameBuf from_buf{}, to_buf{};
   for (ObjectId o = 0; o < g.NumObjects(); ++o) {
     if (g.IsAtomic(o)) {
-      out += "atomic " + DisplayName(g, o) + " " + EscapeValue(g.Value(o)) +
-             "\n";
+      out += "atomic ";
+      out += DisplayName(g, o, from_buf);
+      out += ' ';
+      AppendQuoted(g.Value(o), &out);
+      out += '\n';
     } else {
-      out += "complex " + DisplayName(g, o) + "\n";
+      out += "complex ";
+      out += DisplayName(g, o, from_buf);
+      out += '\n';
     }
   }
+  std::vector<uint64_t> keys;  // rank << 32 | target, one per out-edge
   for (ObjectId o = 0; o < g.NumObjects(); ++o) {
-    // Canonical order: by label *name* (label ids depend on interning
-    // order, which a round-trip does not preserve), then by target id.
-    // DETERMINISM: (name, target) is a total order over out-edges, so the
-    // serialized form is identical regardless of builder insertion order.
-    std::vector<HalfEdge> edges(g.OutEdges(o).begin(), g.OutEdges(o).end());
-    std::stable_sort(edges.begin(), edges.end(),
-                     [&](const HalfEdge& a, const HalfEdge& b) {
-                       std::string_view an = g.labels().Name(a.label);
-                       std::string_view bn = g.labels().Name(b.label);
-                       if (an != bn) return an < bn;
-                       return a.other < b.other;
-                     });
+    std::span<const HalfEdge> edges = g.OutEdges(o);
+    if (edges.empty()) continue;
+    keys.clear();
     for (const HalfEdge& e : edges) {
-      out += "edge " + DisplayName(g, o) + " " + g.labels().Name(e.label) +
-             " " + DisplayName(g, e.other) + "\n";
+      keys.push_back(rank[e.label] << 32 | e.other);
+    }
+    std::sort(keys.begin(), keys.end());
+    const std::string_view from = DisplayName(g, o, from_buf);
+    for (uint64_t key : keys) {
+      out += "edge ";
+      out += from;
+      out += ' ';
+      out += labels.Name(by_rank[key >> 32]);
+      out += ' ';
+      out += DisplayName(g, static_cast<ObjectId>(key), to_buf);
+      out += '\n';
     }
   }
   return out;

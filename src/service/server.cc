@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <optional>
 #include <set>
 #include <string_view>
 #include <utility>
@@ -94,12 +95,14 @@ struct SweepCost {
 };
 
 /// The response fields extract and re_extract share: type counts, the
-/// defect, recast tallies and per-stage wall time, plus the knee sweep's
-/// cost when `sweep` is set (auto-k extract). The stage times are also
-/// folded into the per-stage histograms (extract.stage1, ...,
-/// extract.sweep) that `stats` reports.
+/// defect, recast tallies, per-stage wall time and the Stage-1/3 thread
+/// count, plus the knee sweep's cost when `sweep` is set (auto-k extract)
+/// and the SaveWorkspace time when `save_ms` is set (save_dir given). The
+/// times are also folded into the per-stage histograms (extract.stage1,
+/// ..., extract.sweep, extract.save) that `stats` reports.
 void AddExtractionFields(const extract::ExtractionResult& result,
-                         const SweepCost* sweep, MetricsRegistry* metrics,
+                         const SweepCost* sweep, std::optional<double> save_ms,
+                         MetricsRegistry* metrics,
                          std::map<std::string, Value>* f) {
   (*f)["num_perfect_types"] = JsonUint(result.num_perfect_types);
   (*f)["num_final_types"] = JsonUint(result.num_final_types);
@@ -123,10 +126,16 @@ void AddExtractionFields(const extract::ExtractionResult& result,
   tf["cluster_ms"] = Value::Number(t.cluster_ms);
   tf["recast_ms"] = Value::Number(t.recast_ms);
   tf["total_ms"] = Value::Number(t.total_ms);
+  tf["threads"] = JsonUint(t.threads);
   if (sweep != nullptr) {
     tf["sweep_ms"] = Value::Number(sweep->ms);
     (*f)["sweep_points"] = JsonUint(sweep->points);
     metrics->Record("extract.sweep", sweep->ms, /*ok=*/true,
+                    /*timeout=*/false);
+  }
+  if (save_ms.has_value()) {
+    tf["save_ms"] = Value::Number(*save_ms);
+    metrics->Record("extract.save", *save_ms, /*ok=*/true,
                     /*timeout=*/false);
   }
   (*f)["timings"] = Value::Object(std::move(tf));
@@ -408,15 +417,19 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
   next.delta_exact = 0;
   SCHEMEX_RETURN_IF_ERROR(next.Validate());
 
+  std::optional<double> save_ms;
   if (!p.save_dir.empty()) {
+    util::WallTimer save_timer;
     SCHEMEX_RETURN_IF_ERROR(catalog::SaveWorkspace(next, p.save_dir));
+    save_ms = save_timer.ElapsedMillis();
   }
 
   std::map<std::string, Value> f;
   f["workspace"] = Value::String(p.workspace);
   f["k"] = JsonUint(chosen_k);
   f["auto_k"] = Value::Bool(auto_k);
-  AddExtractionFields(result, auto_k ? &sweep_cost : nullptr, &metrics_, &f);
+  AddExtractionFields(result, auto_k ? &sweep_cost : nullptr, save_ms,
+                      &metrics_, &f);
   if (!p.save_dir.empty()) f["saved_to"] = Value::String(p.save_dir);
 
   PutWorkspace(p.workspace, std::move(next));
@@ -784,8 +797,11 @@ util::StatusOr<json::Value> Server::HandleReExtract(
   next.delta_exact = 0;
   SCHEMEX_RETURN_IF_ERROR(next.Validate());
 
+  std::optional<double> save_ms;
   if (!p.save_dir.empty()) {
+    util::WallTimer save_timer;
     SCHEMEX_RETURN_IF_ERROR(catalog::SaveWorkspace(next, p.save_dir));
+    save_ms = save_timer.ElapsedMillis();
   }
 
   metrics_.AddCounter("delta.re_extracts", 1);
@@ -798,7 +814,7 @@ util::StatusOr<json::Value> Server::HandleReExtract(
   f["workspace"] = Value::String(p.workspace);
   f["k"] = JsonUint(chosen_k);
   f["generation"] = JsonUint(next.generation);
-  AddExtractionFields(result, /*sweep=*/nullptr, &metrics_, &f);
+  AddExtractionFields(result, /*sweep=*/nullptr, save_ms, &metrics_, &f);
   {
     std::map<std::string, Value> i;
     i["stage1_incremental"] = Value::Bool(rstats.incremental_stage1);

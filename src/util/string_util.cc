@@ -1,9 +1,11 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace schemex::util {
 
@@ -53,12 +55,10 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 }
 
 bool ParseUint64(std::string_view s, uint64_t* out) {
-  if (s.empty()) return false;
   uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return false;
   *out = v;
   return true;
 }

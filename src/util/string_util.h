@@ -1,6 +1,7 @@
 #ifndef SCHEMEX_UTIL_STRING_UTIL_H_
 #define SCHEMEX_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,8 +24,8 @@ std::string_view Trim(std::string_view s);
 /// True iff `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
-/// Parses a non-negative decimal integer; returns false on any non-digit or
-/// empty input (no overflow checking beyond 64 bits).
+/// Parses a non-negative decimal integer; returns false (leaving *out
+/// unchanged) on empty input, any non-digit, or a value above 2^64 - 1.
 bool ParseUint64(std::string_view s, uint64_t* out);
 
 /// Parses a double via strtod semantics; returns false if the whole string

@@ -148,6 +148,35 @@ TEST_F(CatalogTest, CorruptAssignmentVariants) {
   scribble("0\t7\n");
   EXPECT_EQ(LoadWorkspace(dir_.string()).status().code(),
             util::StatusCode::kFailedPrecondition);
+  // Ids past their type's range must not wrap into valid ones: a type
+  // id above INT32_MAX (2^32 would narrow to type 0) and an object id
+  // above 2^64 - 1 (2^64 would wrap to object 0).
+  scribble("0\t4294967296\n");
+  auto st = LoadWorkspace(dir_.string()).status();
+  EXPECT_EQ(st.code(), util::StatusCode::kParseError);
+  EXPECT_NE(st.message().find("assignment.tsv line 1: bad type id"),
+            std::string::npos)
+      << st.ToString();
+  scribble("0\t2147483648\n");
+  EXPECT_EQ(LoadWorkspace(dir_.string()).status().code(),
+            util::StatusCode::kParseError);
+  scribble("18446744073709551616\t0\n");
+  st = LoadWorkspace(dir_.string()).status();
+  EXPECT_EQ(st.code(), util::StatusCode::kParseError);
+  EXPECT_NE(st.message().find("assignment.tsv line 1: bad object id"),
+            std::string::npos)
+      << st.ToString();
+  // Signs are not digits.
+  scribble("0\t-1\n");
+  EXPECT_EQ(LoadWorkspace(dir_.string()).status().code(),
+            util::StatusCode::kParseError);
+  scribble("+0\t0\n");
+  EXPECT_EQ(LoadWorkspace(dir_.string()).status().code(),
+            util::StatusCode::kParseError);
+  // INT32_MAX itself parses (then fails Validate: no such type).
+  scribble("0\t2147483647\n");
+  EXPECT_EQ(LoadWorkspace(dir_.string()).status().code(),
+            util::StatusCode::kFailedPrecondition);
   // Comments and blank lines are fine; a trailing junk line is not.
   scribble("# comment\n\n0\t0\n1\n");
   EXPECT_EQ(LoadWorkspace(dir_.string()).status().code(),

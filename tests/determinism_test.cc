@@ -1,7 +1,8 @@
 // Determinism regression suite: the pipeline must be *bit-identical*
 // across repeated runs and across parallelism settings (ExtractorOptions
 // documents parallelism as "only trades wall-clock for cores"). Pins
-//  * the extract response JSON (minus wall-clock "timings"),
+//  * the extract response JSON (minus "timings": wall clock and the
+//    resolved stage thread count),
 //  * the saved workspace artifacts — schema.dl text, snapshot.bin
 //    bytes, graph.sxg, assignment.tsv — byte for byte,
 //  * WriteTypingProgram and snapshot::Write outputs across independent
@@ -33,8 +34,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Removes the "timings" object (wall-clock stage durations, the one
-/// legitimately run-varying part) from an extract response line.
+/// Removes the "timings" object (wall-clock stage and save durations and
+/// the Stage-1/3 thread count, the legitimately run-varying part) from an
+/// extract response line.
 std::string StripTimings(std::string line) {
   const std::string key = "\"timings\":";
   size_t pos = line.find(key);
@@ -56,6 +58,21 @@ std::string StripTimings(std::string line) {
   }
   line.erase(begin, end + 1 - begin);
   return line;
+}
+
+/// StripTimings for a response that set save_dir, checked: the fields
+/// that vary by run or by parallelism (stage and save times, the
+/// Stage-1/3 thread count) must all sit inside "timings", so that
+/// stripping it leaves none of them behind.
+std::string StripSavedTimings(const std::string& line) {
+  EXPECT_NE(line.find("\"save_ms\":"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"threads\":"), std::string::npos) << line;
+  std::string stripped = StripTimings(line);
+  for (const char* key : {"_ms\"", "\"threads\""}) {
+    EXPECT_EQ(stripped.find(key), std::string::npos)
+        << key << " outside timings: " << stripped;
+  }
+  return stripped;
 }
 
 /// Every regular file under `dir`, as relative-path -> raw bytes.
@@ -115,7 +132,7 @@ std::string RunServerExtract(const fs::path& load_dir,
       "\"k\":6,\"parallelism\":" + std::to_string(parallelism) +
       ",\"save_dir\":\"" + save_dir.string() + "\"}}");
   EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
-  return StripTimings(resp);
+  return StripSavedTimings(resp);
 }
 
 TEST_F(DeterminismTest, ExtractResponseAndArtifactsAcrossRunsAndThreads) {
@@ -245,7 +262,7 @@ TEST_F(DeterminismTest, IncrementalReExtractMatchesColdExtraction) {
           ",\"save_dir\":\"" + out.string() + "\"}}");
       ASSERT_NE(rx.find("\"ok\":true"), std::string::npos) << rx;
 
-      rx = StripTimings(rx);
+      rx = StripSavedTimings(rx);
       size_t at = rx.find(out.string());
       ASSERT_NE(at, std::string::npos) << rx;
       rx.replace(at, out.string().size(), "<save_dir>");

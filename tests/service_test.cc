@@ -14,6 +14,7 @@
 #include "catalog/workspace.h"
 #include "extract/extractor.h"
 #include "extract/knee.h"
+#include "extract/pipeline_internal.h"
 #include "gen/dbg.h"
 #include "gen/random_graph.h"
 #include "json/json.h"
@@ -172,6 +173,97 @@ TEST_F(ServiceTest, ExtractAutoKPicksKnee) {
     }
     EXPECT_TRUE(sweep_histogram);
   }
+}
+
+/// A tenant wide enough that auto parallelism shards Stages 1 and 3 on
+/// any multi-core machine (ResolveParallelism gives each worker 4096
+/// complex objects): 8192 complex objects in two Stage-1 types.
+constexpr size_t kWideComplex = 8192;
+
+catalog::Workspace MakeWideWorkspace() {
+  graph::DataGraph g;
+  graph::ObjectId v = g.AddAtomic("v");
+  for (size_t i = 0; i < kWideComplex; ++i) {
+    EXPECT_OK(g.AddEdge(g.AddComplex(), v, i % 2 == 0 ? "a" : "b"));
+  }
+  catalog::Workspace ws;
+  ws.SetGraph(g);
+  ws.assignment = typing::TypeAssignment(ws.graph->NumObjects());
+  return ws;
+}
+
+TEST_F(ServiceTest, ExtractReportsStageThreadsAndSaveTime) {
+  const size_t auto_threads =
+      extract::internal::ResolveParallelism(0, kWideComplex);
+  if (std::thread::hardware_concurrency() >= 2) {
+    ASSERT_GE(auto_threads, 2u);  // so "inline" below is a real choice
+  }
+  // Runs extract (k = 1) then re_extract, each with or without a
+  // save_dir, and returns the four responses in that order.
+  auto run = [&](Server& server) {
+    EXPECT_OK(server.InstallWorkspace("wide", MakeWideWorkspace()));
+    std::vector<Value> out;
+    for (bool save : {false, true}) {
+      Request req = MakeRequest(Verb::kExtract);
+      req.extract.workspace = "wide";
+      req.extract.k = 1;
+      if (save) req.extract.save_dir = (dir_ / "extract").string();
+      Response resp = server.Handle(req);
+      EXPECT_OK(resp.status);
+      out.push_back(resp.result);
+    }
+    for (bool save : {false, true}) {
+      Request req = MakeRequest(Verb::kReExtract);
+      req.re_extract.workspace = "wide";
+      if (save) req.re_extract.save_dir = (dir_ / "re_extract").string();
+      Response resp = server.Handle(req);
+      EXPECT_OK(resp.status);
+      out.push_back(resp.result);
+    }
+    return out;
+  };
+
+  // A default server runs the stages inline, even on this tenant.
+  EXPECT_EQ(ServerOptions().default_parallelism, 1u);
+  Server inline_server;
+  std::vector<Value> responses = run(inline_server);
+  ASSERT_EQ(responses.size(), 4u);
+  for (size_t i = 0; i < responses.size(); ++i) {
+    SCOPED_TRACE(i);
+    const Value& timings = Field(responses[i], "timings");
+    EXPECT_EQ(Field(timings, "threads").AsNumber(), 1);
+    // save_ms appears exactly when the request set save_dir.
+    const bool saved = i % 2 == 1;
+    EXPECT_EQ(timings.AsObject().count("save_ms"), saved ? 1u : 0u);
+    if (saved) EXPECT_GE(Field(timings, "save_ms").AsNumber(), 0);
+  }
+  Response stats = inline_server.Handle(MakeRequest(Verb::kStats));
+  ASSERT_OK(stats.status);
+  bool save_histogram = false;
+  for (const Value& v : Field(stats.result, "verbs").AsArray()) {
+    if (Field(v, "verb").AsString() != "extract.save") continue;
+    save_histogram = true;
+    EXPECT_EQ(Field(v, "count").AsNumber(), 2);  // one extract, one re_extract
+  }
+  EXPECT_TRUE(save_histogram);
+
+  // default_parallelism 0 restores auto, and the response reports the
+  // resolved worker count.
+  ServerOptions auto_opt;
+  auto_opt.default_parallelism = 0;
+  Server auto_server(auto_opt);
+  for (const Value& r : run(auto_server)) {
+    EXPECT_EQ(Field(Field(r, "timings"), "threads").AsNumber(), auto_threads);
+  }
+
+  // An explicit request value overrides either default.
+  Request req = MakeRequest(Verb::kExtract);
+  req.extract.workspace = "wide";
+  req.extract.k = 1;
+  req.extract.parallelism = 3;
+  Response resp = inline_server.Handle(req);
+  ASSERT_OK(resp.status);
+  EXPECT_EQ(Field(Field(resp.result, "timings"), "threads").AsNumber(), 3);
 }
 
 TEST_F(ServiceTest, ApplyDeltaTypesComplexArrivals) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
 
@@ -179,6 +180,16 @@ TEST(StringUtilTest, ParseNumbers) {
   EXPECT_EQ(u, 123u);
   EXPECT_FALSE(ParseUint64("12x", &u));
   EXPECT_FALSE(ParseUint64("", &u));
+  // Overflow fails instead of wrapping, and leaves *out alone.
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &u));
+  EXPECT_EQ(u, UINT64_MAX);
+  u = 7;
+  EXPECT_FALSE(ParseUint64("18446744073709551616", &u));
+  EXPECT_FALSE(ParseUint64("99999999999999999999999", &u));
+  EXPECT_EQ(u, 7u);
+  EXPECT_FALSE(ParseUint64("-1", &u));
+  EXPECT_FALSE(ParseUint64("+1", &u));
+  EXPECT_FALSE(ParseUint64(" 1", &u));
   double d = 0;
   EXPECT_TRUE(ParseDouble("2.5", &d));
   EXPECT_DOUBLE_EQ(d, 2.5);

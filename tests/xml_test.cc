@@ -55,6 +55,9 @@ TEST(XmlParseTest, Malformed) {
   EXPECT_FALSE(ParseXml("<a>&bogus;</a>").ok());
   EXPECT_FALSE(ParseXml("just text").ok());
   EXPECT_FALSE(ParseXml("<a x=\"open></a>").ok());
+  // A decimal character reference past 2^64 - 1 must not wrap into a
+  // valid code point (2^64 + 65 would read as 'A').
+  EXPECT_FALSE(ParseXml("<a>&#18446744073709551681;</a>").ok());
 }
 
 TEST(XmlImportTest, LeafCollapsingMatchesPaperModeling) {

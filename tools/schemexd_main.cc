@@ -10,9 +10,13 @@
 // Common flags:
 //   --threads N          worker threads (default 4)
 //   --timeout S          default per-request budget in seconds (default 60)
-//   --parallelism N      default Stage-1/3 parallelism for extract requests
-//                        that leave the field unset (0 = auto/hardware,
-//                        1 = inline; default 0)
+//   --parallelism N      default Stage-1/3 parallelism for extract and
+//                        re_extract requests that leave the field unset
+//                        (0 = auto/hardware, 1 = inline; default 1). The
+//                        workers already run --threads requests at once,
+//                        so per-request stage pools would oversubscribe
+//                        the cores queries need; 0 suits a server that
+//                        runs one large tenant at a time
 //   --workspace NAME=DIR preload a SaveWorkspace directory into the cache
 //                        (repeatable)
 //   --gen-demo DIR       write the paper's DBG-like demo database to DIR
