@@ -188,7 +188,7 @@ bool Measure(const DeltaOverlay& ov, const extract::ExtractionCache& cache,
   }
   extract::ReExtractStats st;
   auto fast = extract::ReExtract(GraphView(ov), cache, touched, /*k=*/0,
-                                 /*parallelism=*/1, nullptr, inc, &st);
+                                 nullptr, inc, &st);
   if (!fast.ok()) {
     std::fprintf(stderr, "incremental extraction failed: %s\n",
                  fast.status().ToString().c_str());

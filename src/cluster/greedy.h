@@ -87,10 +87,8 @@ struct ClusteringResult {
 ///
 /// Memory stays linear in the program: rule bodies are interned link ids
 /// with per-link posting lists, and each distance row is derived from
-/// them on demand (no n x n matrix). The clustering runs on the caller's
-/// thread: only exec.check_cancel is used (its pool and thread count are
-/// ignored, so every ExecOptions yields the same result). It is polled
-/// before every merge step; its status propagates verbatim.
+/// them on demand (no n x n matrix). exec.check_cancel is polled before
+/// every merge step; its status propagates verbatim.
 util::StatusOr<ClusteringResult> ClusterTypes(
     const typing::TypingProgram& stage1, const std::vector<uint32_t>& weights,
     const ClusteringOptions& options, const typing::ExecOptions& exec = {});

@@ -1,11 +1,9 @@
 #include "extract/extractor.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "extract/pipeline_internal.h"
-#include "util/parallel_for.h"
 #include "util/timer.h"
 
 namespace schemex::extract {
@@ -14,20 +12,9 @@ namespace internal {
 
 using typing::TypeId;
 
-size_t ResolveParallelism(size_t requested, size_t num_complex) {
-  if (requested != 0) return requested;
-  size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  size_t by_size = std::max<size_t>(1, num_complex / 4096);
-  return std::min(hw, by_size);
-}
-
 util::StatusOr<typing::PerfectTypingResult> RunStage1(
-    const ExtractorOptions& options, graph::GraphView g,
-    util::ThreadPool* pool, size_t threads) {
+    const ExtractorOptions& options, graph::GraphView g) {
   typing::ExecOptions exec;
-  exec.num_threads = threads;
-  exec.pool = pool;
   exec.check_cancel = options.check_cancel;
   if (options.stage1 == ExtractorOptions::Stage1Algorithm::kGfp) {
     return typing::PerfectTypingViaGfp(g, exec);
@@ -82,8 +69,10 @@ util::Status PollCancel(const std::function<util::Status()>& check_cancel) {
 
 util::StatusOr<ExtractionResult> FinishExtraction(
     const ExtractorOptions& options, graph::GraphView g,
-    typing::PerfectTypingResult perfect, const typing::ExecOptions& exec,
-    const Stage2Reuse* reuse, bool* stage2_reused) {
+    typing::PerfectTypingResult perfect, const Stage2Reuse* reuse,
+    bool* stage2_reused) {
+  typing::ExecOptions exec;
+  exec.check_cancel = options.check_cancel;
   ExtractionResult result;
   result.perfect = std::move(perfect);
   result.num_perfect_types = result.perfect.program.NumTypes();
@@ -149,32 +138,18 @@ util::StatusOr<ExtractionResult> SchemaExtractor::Run(
     graph::GraphView g) const {
   util::WallTimer total_timer;
 
-  // One pool for the whole run — Stage 1 shards its hashing and GFP
-  // phases on it, Stage 3 its GFP, exact sweep, and fallback precompute;
-  // nullptr when the resolved parallelism is 1.
-  size_t threads =
-      internal::ResolveParallelism(options_.parallelism, g.NumComplexObjects());
-  util::PoolRef pool(nullptr, threads);
-  typing::ExecOptions exec;
-  exec.num_threads = threads;
-  exec.pool = pool.get();
-  exec.check_cancel = options_.check_cancel;
-
   // Stage 1.
   util::WallTimer stage_timer;
   typing::PerfectTypingResult perfect;
-  SCHEMEX_ASSIGN_OR_RETURN(perfect,
-                           internal::RunStage1(options_, g, pool.get(),
-                                               threads));
+  SCHEMEX_ASSIGN_OR_RETURN(perfect, internal::RunStage1(options_, g));
   double stage1_ms = stage_timer.ElapsedMillis();
   SCHEMEX_RETURN_IF_ERROR(internal::PollCancel(options_.check_cancel));
 
   SCHEMEX_ASSIGN_OR_RETURN(
       ExtractionResult result,
-      internal::FinishExtraction(options_, g, std::move(perfect), exec));
+      internal::FinishExtraction(options_, g, std::move(perfect)));
   result.timings.stage1_ms = stage1_ms;
   result.timings.total_ms = total_timer.ElapsedMillis();
-  result.timings.threads = threads;
   return result;
 }
 
@@ -187,16 +162,8 @@ util::StatusOr<std::vector<SensitivityPoint>> SensitivitySweep(
   using typing::TypeId;
 
   // Stage 1 once.
-  size_t threads =
-      internal::ResolveParallelism(options.parallelism, g.NumComplexObjects());
-  util::PoolRef pool(nullptr, threads);
-  typing::ExecOptions exec;
-  exec.num_threads = threads;
-  exec.pool = pool.get();
-  exec.check_cancel = options.check_cancel;
   typing::PerfectTypingResult perfect;
-  SCHEMEX_ASSIGN_OR_RETURN(
-      perfect, internal::RunStage1(options, g, pool.get(), threads));
+  SCHEMEX_ASSIGN_OR_RETURN(perfect, internal::RunStage1(options, g));
   SCHEMEX_RETURN_IF_ERROR(PollCancel(options.check_cancel));
   typing::RoleDecomposition roles;
   bool roles_applied = false;
@@ -204,6 +171,8 @@ util::StatusOr<std::vector<SensitivityPoint>> SensitivitySweep(
       internal::PrepareForClustering(options, perfect, &roles, &roles_applied);
 
   // Stage 2 once, all the way down, recording the snapshots at k <= max_k.
+  typing::ExecOptions exec;
+  exec.check_cancel = options.check_cancel;
   cluster::ClusteringOptions copt;
   copt.psi = options.psi;
   copt.target_num_types = std::max<size_t>(min_k, 1);

@@ -23,16 +23,6 @@ struct ExtractorOptions {
   };
   Stage1Algorithm stage1 = Stage1Algorithm::kRefinement;
 
-  /// Worker parallelism for the data-sized stages: Stage-1 hashing/GFP
-  /// and the Stage-3 GFP, exact sweep, and nearest-type fallback (Stage 2
-  /// always runs on one thread). 0 = auto (hardware concurrency,
-  /// moderated by the graph's size so tiny inputs stay inline); 1 = run
-  /// every stage inline; N > 1 = shard across exactly N workers (one
-  /// transient pool per Run call, shared by every stage). Every setting
-  /// produces bit-identical results — the knob only trades wall-clock
-  /// for cores.
-  size_t parallelism = 0;
-
   /// Run the multiple-roles pass (§4.2) between Stages 1 and 2.
   bool decompose_roles = false;
 
@@ -67,9 +57,6 @@ struct StageTimings {
   double cluster_ms = 0; ///< Stage 2 clustering or its reuse (0 when skipped)
   double recast_ms = 0;  ///< home remap + Stage 3 + defect measurement
   double total_ms = 0;
-  /// Workers Stages 1 and 3 ran on: the resolved `parallelism` (1 =
-  /// inline).
-  size_t threads = 1;
 };
 
 /// Everything the pipeline produced, including intermediates for
@@ -108,7 +95,8 @@ struct ExtractionResult {
   StageTimings timings;
 };
 
-/// Orchestrates Stage 1 -> (roles) -> Stage 2 -> Stage 3 -> defect.
+/// Orchestrates Stage 1 -> (roles) -> Stage 2 -> Stage 3 -> defect, every
+/// stage on the caller's thread.
 class SchemaExtractor {
  public:
   explicit SchemaExtractor(ExtractorOptions options) : options_(options) {}

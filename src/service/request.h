@@ -51,12 +51,6 @@ struct ExtractParams {
   bool decompose_roles = false;
   /// Stage-1 algorithm: "refinement" (default) or "gfp".
   std::string stage1 = "refinement";
-  /// Worker parallelism for the sharded extraction stages (Stage-1
-  /// refinement and GFP, Stage-3 recast; Stage-2 clustering is always
-  /// one thread): 0 = defer to the server's default (which itself
-  /// defaults to auto = hardware concurrency), 1 = inline, N > 1 =
-  /// exactly N workers. Identical results for every setting.
-  uint64_t parallelism = 0;
   /// When non-empty, also persist the updated workspace here (atomic
   /// SaveWorkspace), so a restarted server can load_workspace it back.
   std::string save_dir;
@@ -123,7 +117,6 @@ struct ReExtractParams {
   std::string workspace;
   /// Target number of types; 0 = reuse the cached run's k.
   uint64_t k = 0;
-  uint64_t parallelism = 0;
   std::string save_dir;
   /// Dirty-set fallback threshold for incremental Stage 1 (fraction of
   /// complex objects; exceeding it falls back to a cold refinement).
@@ -150,6 +143,8 @@ struct Request {
 ///   {"id": 7, "verb": "query", "timeout_s": 2.5,
 ///    "params": {"workspace": "dbg", "query": "project.name"}}
 /// Unknown fields are ignored; a missing "params" is an empty object.
+/// Fields a verb no longer takes (extract's and re_extract's old
+/// "parallelism") are unknown fields, so old clients keep working.
 util::StatusOr<Request> ParseRequest(const json::Value& v);
 
 /// Parse a newline-delimited-JSON request line (malformed JSON or a

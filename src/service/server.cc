@@ -95,11 +95,11 @@ struct SweepCost {
 };
 
 /// The response fields extract and re_extract share: type counts, the
-/// defect, recast tallies, per-stage wall time and the Stage-1/3 thread
-/// count, plus the knee sweep's cost when `sweep` is set (auto-k extract)
-/// and the SaveWorkspace time when `save_ms` is set (save_dir given). The
-/// times are also folded into the per-stage histograms (extract.stage1,
-/// ..., extract.sweep, extract.save) that `stats` reports.
+/// defect, recast tallies and per-stage wall time, plus the knee sweep's
+/// cost when `sweep` is set (auto-k extract) and the SaveWorkspace time
+/// when `save_ms` is set (save_dir given). The times are also folded
+/// into the per-stage histograms (extract.stage1, ..., extract.sweep,
+/// extract.save) that `stats` reports.
 void AddExtractionFields(const extract::ExtractionResult& result,
                          const SweepCost* sweep, std::optional<double> save_ms,
                          MetricsRegistry* metrics,
@@ -126,7 +126,6 @@ void AddExtractionFields(const extract::ExtractionResult& result,
   tf["cluster_ms"] = Value::Number(t.cluster_ms);
   tf["recast_ms"] = Value::Number(t.recast_ms);
   tf["total_ms"] = Value::Number(t.total_ms);
-  tf["threads"] = JsonUint(t.threads);
   if (sweep != nullptr) {
     tf["sweep_ms"] = Value::Number(sweep->ms);
     (*f)["sweep_points"] = JsonUint(sweep->points);
@@ -373,9 +372,6 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
                    ? extract::ExtractorOptions::Stage1Algorithm::kGfp
                    : extract::ExtractorOptions::Stage1Algorithm::kRefinement;
   opt.decompose_roles = p.decompose_roles;
-  opt.parallelism =
-      p.parallelism != 0 ? static_cast<size_t>(p.parallelism)
-                         : options_.default_parallelism;
   opt.check_cancel = DeadlineHook(deadline);
 
   // k == 0 = automatic: sweep the k axis and take the §8 knee within the
@@ -765,16 +761,13 @@ util::StatusOr<json::Value> Server::HandleReExtract(
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
-  const size_t parallelism = p.parallelism != 0
-                                 ? static_cast<size_t>(p.parallelism)
-                                 : options_.default_parallelism;
   extract::IncrementalOptions inc;
   inc.max_dirty_fraction = p.max_dirty_fraction;
   extract::ReExtractStats rstats;
   SCHEMEX_ASSIGN_OR_RETURN(
       extract::ExtractionResult result,
       extract::ReExtract(g, cache, touched, static_cast<size_t>(p.k),
-                         parallelism, DeadlineHook(deadline), inc, &rstats));
+                         DeadlineHook(deadline), inc, &rstats));
   const size_t chosen_k =
       p.k != 0 ? static_cast<size_t>(p.k) : cache.chosen_k;
 

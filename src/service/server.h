@@ -22,18 +22,6 @@ struct ServerOptions {
   /// Wall-clock budget applied when a request does not set timeout_s.
   /// 0 disables the default (requests may still set their own).
   double default_timeout_s = 60.0;
-  /// Parallelism for the sharded extraction stages (1 and 3), applied
-  /// when an extract or re_extract request leaves its "parallelism"
-  /// field at 0: 0 = auto (hardware concurrency, moderated by graph
-  /// size), 1 = inline, N = exactly N workers. Results are identical for
-  /// every setting.
-  ///
-  /// The default is 1 because the server already runs `num_threads`
-  /// requests at once: under auto, every large extract started its own
-  /// pool of up to hardware-concurrency threads, and concurrent extracts
-  /// oversubscribed the cores that queries also need. Auto (0) suits a
-  /// server that runs one large tenant at a time.
-  size_t default_parallelism = 1;
 };
 
 /// The schemexd dispatcher: a long-lived, concurrent schema service.

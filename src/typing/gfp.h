@@ -46,11 +46,8 @@ struct GfpStats {
 /// program.ToDatalog() (asserted by tests), but typically orders of
 /// magnitude faster on perfect-typing candidate programs.
 ///
-/// `options` shards the prefilter (over word-aligned object ranges) and
-/// the initial full-recheck sweep (over type ranges) across workers; the
-/// worklist stays sequential. The greatest fixpoint is unique, so the
-/// extents are identical for every thread count. options.check_cancel is
-/// polled between phases and every kGfpCancelPollInterval worklist pops.
+/// options.check_cancel is polled between phases and every
+/// kGfpCancelPollInterval worklist pops.
 util::StatusOr<Extents> ComputeGfp(const TypingProgram& program,
                                    graph::GraphView g,
                                    GfpStats* stats = nullptr,

@@ -8,7 +8,6 @@
 
 #include "typing/refine_internal.h"
 #include "typing/type_signature.h"
-#include "util/parallel_for.h"
 #include "util/string_util.h"
 
 namespace schemex::typing {
@@ -27,14 +26,6 @@ uint64_t HashEnc(const uint64_t* data, size_t len) {
   for (size_t i = 0; i < len; ++i) h = Mix64(h ^ data[i]);
   return h;
 }
-
-/// Per-worker state for one shard of the round's dirty objects.
-struct EncShard {
-  size_t begin = 0;
-  size_t end = 0;
-  std::vector<uint64_t> arena;    ///< canonical encodings, back to back
-  std::vector<uint64_t> scratch;  ///< one object's links, sorted + deduped
-};
 
 }  // namespace
 
@@ -154,22 +145,20 @@ util::StatusOr<PerfectTypingResult> IncrementalRefine(
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   st.seed_dirty = dirty.size();
 
-  util::PoolRef pool(options.exec.pool, options.exec.num_threads);
   const double dirty_limit =
       options.max_dirty_fraction * static_cast<double>(num_complex);
 
-  std::vector<EncShard> shards;
-  std::vector<uint64_t> hash;
-  std::vector<size_t> span_off;
-  std::vector<uint32_t> span_len;
-  std::vector<uint32_t> shard_of;
+  // This round's encodings, back to back: dirty[i]'s occupies
+  // arena[enc_off[i], enc_off[i + 1]).
+  std::vector<uint64_t> arena;
+  std::vector<size_t> enc_off;
+  std::vector<uint64_t> scratch;  // one object's links, sorted + deduped
   std::vector<graph::ObjectId> moved;
   std::vector<graph::ObjectId> next_dirty;
 
-  // Propagation: each round re-keys the dirty objects' canonical picture
-  // encodings against the current blocks (sharded, read-only), then a
-  // sequential reduce in ascending id order joins or founds blocks —
-  // deterministic at any thread count. An object whose picture still
+  // Propagation: each round first re-keys every dirty object's canonical
+  // picture encoding against the round-start blocks, then joins or
+  // founds blocks in ascending id order. An object whose picture still
   // matches its block's signature stays put and wakes nobody.
   while (!dirty.empty()) {
     SCHEMEX_RETURN_IF_ERROR(options.exec.Poll());
@@ -187,56 +176,32 @@ util::StatusOr<PerfectTypingResult> IncrementalRefine(
     st.peak_dirty = std::max(st.peak_dirty, dirty.size());
 
     const size_t d = dirty.size();
-    auto ranges = util::ShardRanges(d, pool.num_threads());
-    shards.resize(ranges.size());
-    for (size_t s = 0; s < ranges.size(); ++s) {
-      shards[s].begin = ranges[s].first;
-      shards[s].end = ranges[s].second;
-    }
-    hash.resize(d);
-    span_off.resize(d);
-    span_len.resize(d);
-    shard_of.resize(d);
-    for (size_t s = 0; s < shards.size(); ++s) {
-      for (size_t i = shards[s].begin; i < shards[s].end; ++i) {
-        shard_of[i] = static_cast<uint32_t>(s);
+    arena.clear();
+    enc_off.assign(1, 0);
+    for (graph::ObjectId o : dirty) {
+      scratch.clear();
+      for (const graph::HalfEdge& e : g.OutEdges(o)) {
+        scratch.push_back(EncodeRefineLink(
+            Direction::kOutgoing, e.label,
+            g.IsAtomic(e.other) ? kAtomicType : block[e.other]));
       }
-    }
-
-    util::RunShards(pool.get(), shards.size(), [&](size_t s) {
-      EncShard& shard = shards[s];
-      shard.arena.clear();
-      for (size_t i = shard.begin; i < shard.end; ++i) {
-        graph::ObjectId o = dirty[i];
-        std::vector<uint64_t>& scratch = shard.scratch;
-        scratch.clear();
-        for (const graph::HalfEdge& e : g.OutEdges(o)) {
-          scratch.push_back(EncodeRefineLink(
-              Direction::kOutgoing, e.label,
-              g.IsAtomic(e.other) ? kAtomicType : block[e.other]));
-        }
-        for (const graph::HalfEdge& e : g.InEdges(o)) {
-          scratch.push_back(
-              EncodeRefineLink(Direction::kIncoming, e.label, block[e.other]));
-        }
-        std::sort(scratch.begin(), scratch.end());
-        scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                      scratch.end());
-        hash[i] = options.exec.debug_force_hash_collisions
-                      ? 0
-                      : HashEnc(scratch.data(), scratch.size());
-        span_off[i] = shard.arena.size();
-        span_len[i] = static_cast<uint32_t>(scratch.size());
-        shard.arena.insert(shard.arena.end(), scratch.begin(), scratch.end());
+      for (const graph::HalfEdge& e : g.InEdges(o)) {
+        scratch.push_back(
+            EncodeRefineLink(Direction::kIncoming, e.label, block[e.other]));
       }
-    });
+      std::sort(scratch.begin(), scratch.end());
+      scratch.erase(std::unique(scratch.begin(), scratch.end()),
+                    scratch.end());
+      arena.insert(arena.end(), scratch.begin(), scratch.end());
+      enc_off.push_back(arena.size());
+    }
 
     moved.clear();
     for (size_t i = 0; i < d; ++i) {
       graph::ObjectId o = dirty[i];
       TypeId cur = block[o];
-      const uint64_t* enc = shards[shard_of[i]].arena.data() + span_off[i];
-      const size_t len = span_len[i];
+      const uint64_t* enc = arena.data() + enc_off[i];
+      const size_t len = enc_off[i + 1] - enc_off[i];
       if (block_has_enc[static_cast<size_t>(cur)] &&
           block_enc[static_cast<size_t>(cur)].size() == len &&
           std::equal(enc, enc + len,

@@ -56,7 +56,7 @@ struct IncrementalRefineStats {
 /// `previous` must not assign a type to an object that is atomic in `g`.
 ///
 /// The result is bit-identical to a cold PerfectTypingViaHashRefinement
-/// of `g` at any thread count — same program, homes, weights, names.
+/// of `g` — same program, homes, weights, names.
 /// Internally: (1) propagate — dirty objects re-key their canonical
 /// picture encoding against the current blocks, joining an existing
 /// block with an equal signature or founding a fresh one, and moves

@@ -37,8 +37,7 @@ struct PerfectTypingResult {
 ///
 /// Exact but O(N^2)-ish; intended for small/medium databases and as the
 /// reference the refinement algorithm is tested against. `options`
-/// parallelizes the GFP engine underneath and threads cancellation
-/// through it; the result is identical for every setting.
+/// threads cancellation through the GFP engine underneath.
 util::StatusOr<PerfectTypingResult> PerfectTypingViaGfp(
     graph::GraphView g, const ExecOptions& options = {});
 
@@ -47,23 +46,22 @@ util::StatusOr<PerfectTypingResult> PerfectTypingViaGfp(
 /// of all complex objects and repeatedly split blocks by the set of
 /// (direction, label, neighbor-block) triples until stable. Produces the
 /// coarsest partition where equivalent objects have identical local
-/// pictures up to the partition — the same partition PerfectTypingViaGfp
-/// computes on databases where extent-equality coincides with local-
-/// picture-equality (verified against the GFP method in tests). Blocks
-/// are numbered by first occurrence in object order; the textbook
-/// std::map formulation in tests/refinement_oracle.h pins that numbering.
+/// pictures up to the partition: the coarsest full bisimulation. GFP
+/// extents are closed under bisimulation, so this partition always
+/// refines PerfectTypingViaGfp's; it can be strictly finer, because §4.1
+/// merges candidate types on extent equality (Remark 4.1), which also
+/// merges some objects that are not bisimilar (Table 1's DB7 and DB8:
+/// 247 vs 245 and 248 vs 246 types). Blocks are numbered by first
+/// occurrence in object order; the textbook std::map formulation in
+/// tests/refinement_oracle.h pins that numbering.
 ///
 ///  - Per round, each complex object's local picture is folded into a
 ///    64-bit hash combined with its previous block id — no TypeSignature
 ///    or std::map node is materialized. The canonical sorted/deduplicated
-///    link encoding is kept in a per-shard arena, so hash-bucket
+///    link encodings are kept in one arena per round, so hash-bucket
 ///    collisions are resolved by comparing the encodings exactly: the
 ///    partition is the exact coarsest full bisimulation regardless of
 ///    hash quality (options.debug_force_hash_collisions pins this).
-///  - Per-object hashing is sharded across options.pool / num_threads
-///    workers over the read-only graph; block ids are then assigned by a
-///    sequential reduce in object order, so the result is bit-identical
-///    for any thread count.
 ///  - options.check_cancel is polled between rounds, making long extracts
 ///    cancellable mid-Stage-1.
 ///  - Fails with InvalidArgument when the graph has 2^31 or more labels:

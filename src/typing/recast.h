@@ -46,15 +46,10 @@ struct RecastResult {
 /// type by clustering), gains all types it satisfies exactly (GFP), and,
 /// failing everything, the nearest type by d.
 ///
-/// `exec` parallelizes the GFP (see ComputeGfp), the home/exact sweep
-/// (per-object rows are disjoint), and the nearest-type fallback. The
-/// fallback preserves its sequential semantics — stragglers' pictures see
-/// earlier stragglers' final types — by precomputing every nearest type
-/// against the pre-fallback assignment in sharded workers, then reducing
-/// in object order and recomputing only the stragglers with a neighbor
-/// assigned earlier in the pass. Results are bit-identical for every
-/// thread count. exec.check_cancel is polled between phases and every
-/// kGfpCancelPollInterval stragglers.
+/// The fallback visits stragglers in object order, so a straggler's
+/// picture sees the types of the stragglers typed before it.
+/// exec.check_cancel is polled inside the GFP (see ComputeGfp), between
+/// phases, and every kGfpCancelPollInterval stragglers.
 util::StatusOr<RecastResult> Recast(
     const TypingProgram& program, graph::GraphView g,
     const std::vector<std::vector<TypeId>>& homes,

@@ -50,6 +50,12 @@ TEST(ExtractorTest, DbgClusteringRecoversIntendedScale) {
   EXPECT_LT(r.defect.defect(), g.NumEdges() / 2);
   // Every complex object ends up with at least one type (fallback on).
   EXPECT_EQ(r.recast.num_untyped, 0u);
+  // Per-stage timings are populated.
+  EXPECT_GT(r.timings.total_ms, 0.0);
+  EXPECT_GE(r.timings.total_ms, r.timings.stage1_ms);
+  EXPECT_GE(r.timings.stage1_ms, 0.0);
+  EXPECT_GE(r.timings.cluster_ms, 0.0);
+  EXPECT_GE(r.timings.recast_ms, 0.0);
 }
 
 TEST(ExtractorTest, RolesPassPropagatesToHomes) {
@@ -251,7 +257,6 @@ TEST(CancellationTest, SweepPollsBetweenSnapshots) {
 
   // A capped sweep still polls through its recasts: a hook that fires on
   // the last poll of a clean capped run stops it after clustering.
-  opt.parallelism = 1;  // a fixed poll count
   int polls = 0;
   opt.check_cancel = [&polls]() -> util::Status {
     ++polls;

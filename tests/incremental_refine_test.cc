@@ -37,49 +37,41 @@ void ExpectSameTyping(const PerfectTypingResult& want,
 
 /// Cold reference over `g` (the engine the incremental path is pinned
 /// against, itself pinned to the refinement oracle elsewhere).
-PerfectTypingResult Cold(GraphView g, size_t threads) {
-  ExecOptions exec;
-  exec.num_threads = threads;
-  auto r = PerfectTypingViaHashRefinement(g, exec);
+PerfectTypingResult Cold(GraphView g) {
+  auto r = PerfectTypingViaHashRefinement(g);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return *std::move(r);
 }
 
 /// Applies `mutate` to a fresh overlay over the seed-`seed` DBG graph
-/// and checks incremental == cold on overlay and compacted forms across
-/// thread counts.
+/// and checks incremental == cold on overlay and compacted forms.
 template <typename Mutator>
 void CheckDelta(uint64_t seed, Mutator mutate,
                 const IncrementalRefineOptions& base_opts = {},
                 bool expect_fallback = false) {
   ASSERT_OK_AND_ASSIGN(DataGraph base, gen::MakeDbgDataset(seed));
   auto frozen = Freeze(base);
-  PerfectTypingResult previous = Cold(GraphView(*frozen), 1);
+  PerfectTypingResult previous = Cold(GraphView(*frozen));
 
   DeltaOverlay ov(frozen);
   mutate(ov);
   ASSERT_OK(ov.Validate());
   std::vector<ObjectId> touched = ov.TouchedComplexObjects();
 
-  PerfectTypingResult cold = Cold(GraphView(ov), 1);
+  PerfectTypingResult cold = Cold(GraphView(ov));
   auto compacted = ov.Compact();
 
-  for (size_t threads : {1, 2, 4}) {
-    IncrementalRefineOptions opts = base_opts;
-    opts.exec.num_threads = threads;
-    for (bool use_compacted : {false, true}) {
-      GraphView g = use_compacted ? GraphView(*compacted) : GraphView(ov);
-      IncrementalRefineStats stats;
-      auto inc = IncrementalRefine(g, previous, touched, opts, &stats);
-      ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-      std::string what = "seed " + std::to_string(seed) + ", threads " +
-                         std::to_string(threads) +
-                         (use_compacted ? ", compacted" : ", overlay");
-      ExpectSameTyping(cold, *inc, what.c_str());
-      if (expect_fallback) {
-        EXPECT_TRUE(stats.fell_back) << what;
-        EXPECT_FALSE(stats.fallback_reason.empty()) << what;
-      }
+  for (bool use_compacted : {false, true}) {
+    GraphView g = use_compacted ? GraphView(*compacted) : GraphView(ov);
+    IncrementalRefineStats stats;
+    auto inc = IncrementalRefine(g, previous, touched, base_opts, &stats);
+    ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+    std::string what = "seed " + std::to_string(seed) +
+                       (use_compacted ? ", compacted" : ", overlay");
+    ExpectSameTyping(cold, *inc, what.c_str());
+    if (expect_fallback) {
+      EXPECT_TRUE(stats.fell_back) << what;
+      EXPECT_FALSE(stats.fallback_reason.empty()) << what;
     }
   }
 }
@@ -187,7 +179,7 @@ TEST(IncrementalRefineTest, SequentialReferenceAgreesOnMutatedGraph) {
   // refinement is pinned to it elsewhere; this closes the triangle).
   ASSERT_OK_AND_ASSIGN(DataGraph base, gen::MakeDbgDataset(3));
   auto frozen = Freeze(base);
-  PerfectTypingResult previous = Cold(GraphView(*frozen), 1);
+  PerfectTypingResult previous = Cold(GraphView(*frozen));
   DeltaOverlay ov(frozen);
   RandomDelta(ov, 42, 20);
   auto inc =
@@ -201,7 +193,7 @@ TEST(IncrementalRefineTest, SequentialReferenceAgreesOnMutatedGraph) {
 TEST(IncrementalRefineTest, RejectsInvalidInputs) {
   ASSERT_OK_AND_ASSIGN(DataGraph base, gen::MakeDbgDataset(3));
   auto frozen = Freeze(base);
-  PerfectTypingResult previous = Cold(GraphView(*frozen), 1);
+  PerfectTypingResult previous = Cold(GraphView(*frozen));
 
   // Touched id out of range.
   std::vector<ObjectId> bogus{static_cast<ObjectId>(frozen->NumObjects())};
@@ -220,7 +212,7 @@ TEST(IncrementalRefineTest, RejectsInvalidInputs) {
   auto r3 = IncrementalRefine(GraphView(*frozen), empty, {}, {}, &stats);
   ASSERT_TRUE(r3.ok()) << r3.status().ToString();
   EXPECT_TRUE(stats.fell_back);
-  PerfectTypingResult cold = Cold(GraphView(*frozen), 1);
+  PerfectTypingResult cold = Cold(GraphView(*frozen));
   ExpectSameTyping(cold, *r3, "empty-previous fallback");
 }
 

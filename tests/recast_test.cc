@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "cluster/greedy.h"
+#include "gen/random_graph.h"
 #include "tests/test_util.h"
 #include "typing/perfect_typing.h"
 #include "typing/recast.h"
@@ -163,6 +168,58 @@ TEST(RecastTest, HomesKeptEvenWhenUnsatisfied) {
   EXPECT_TRUE(r.assignment.Has(o, 0));
   EXPECT_EQ(r.num_exact, 0u);
   EXPECT_EQ(r.num_fallback, 0u);  // home made a fallback unnecessary
+}
+
+TEST(RecastTest, FallbackMatchesInOrderNearestTypeReference) {
+  // Cluster aggressively with the empty type on, so the recast has real
+  // stragglers (homes dropped by empty moves), then compare with the
+  // textbook loop: homes, then exact GFP types, then NearestType (the
+  // sorted-vector kernel) for each untyped complex object in id order.
+  for (uint64_t seed : {1, 7, 42, 1234, 99991}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    gen::RandomGraphOptions opt;
+    opt.num_complex = 120;
+    opt.num_atomic = 60;
+    opt.num_edges = 400;
+    opt.num_labels = 4;
+    opt.seed = seed;
+    graph::DataGraph g = gen::RandomGraph(opt);
+    ASSERT_OK_AND_ASSIGN(PerfectTypingResult stage1,
+                         PerfectTypingViaHashRefinement(g));
+    cluster::ClusteringOptions copt;
+    copt.target_num_types = 2;
+    ASSERT_OK_AND_ASSIGN(
+        cluster::ClusteringResult clustering,
+        cluster::ClusterTypes(stage1.program, stage1.weight, copt));
+    const TypingProgram& program = clustering.final_program;
+    std::vector<std::vector<TypeId>> homes(g.NumObjects());
+    for (size_t o = 0; o < stage1.home.size(); ++o) {
+      if (stage1.home[o] == kInvalidType) continue;
+      TypeId t = clustering.final_map[static_cast<size_t>(stage1.home[o])];
+      if (t != cluster::kEmptyType) homes[o] = {t};
+    }
+
+    ASSERT_OK_AND_ASSIGN(RecastResult got, Recast(program, g, homes));
+    ASSERT_OK_AND_ASSIGN(Extents m, ComputeGfp(program, g));
+    TypeAssignment want(g.NumObjects());
+    size_t fallbacks = 0;
+    for (graph::ObjectId o = 0; o < g.NumObjects(); ++o) {
+      for (TypeId t : homes[o]) want.Assign(o, t);
+      for (size_t t = 0; t < program.NumTypes(); ++t) {
+        if (m.Contains(static_cast<TypeId>(t), o)) {
+          want.Assign(o, static_cast<TypeId>(t));
+        }
+      }
+    }
+    for (graph::ObjectId o = 0; o < g.NumObjects(); ++o) {
+      if (!g.IsComplex(o) || !want.TypesOf(o).empty()) continue;
+      want.Assign(o, NearestType(program, g, want, o));
+      ++fallbacks;
+    }
+    EXPECT_GT(fallbacks, 0u);
+    EXPECT_EQ(got.num_fallback, fallbacks);
+    EXPECT_EQ(got.assignment, want);
+  }
 }
 
 }  // namespace

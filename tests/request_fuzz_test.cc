@@ -40,6 +40,8 @@ const char* kSeeds[] = {
     R"({"id":4,"verb":"extract","timeout_s":1.5,"params":{"workspace":"w","k":6,"epsilon":1.25,"max_types":20,"stage1":"gfp","decompose_roles":true,"save_dir":""}})",
     R"({"id":5,"verb":"type","params":{"workspace":"w","program":"a(X) :- link(X,Y,\"n\"), atomic(Y).","commit":false}})",
     R"({"id":6,"verb":"query","params":{"workspace":"w","query":"a.b","use_guide":true,"limit":10}})",
+    // "parallelism" is a removed field the parser must keep ignoring.
+    R"({"id":7,"verb":"re_extract","params":{"workspace":"w","k":0,"parallelism":100000,"save_dir":"","max_dirty_fraction":0.25}})",
 };
 
 std::string Mutate(const std::string& seed, std::mt19937& rng) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,12 +15,13 @@
 #include "catalog/workspace.h"
 #include "extract/extractor.h"
 #include "extract/knee.h"
-#include "extract/pipeline_internal.h"
 #include "gen/dbg.h"
 #include "gen/random_graph.h"
 #include "json/json.h"
 #include "service/request.h"
 #include "tests/test_util.h"
+#include "typing/perfect_typing.h"
+#include "typing/program_io.h"
 
 namespace schemex::service {
 namespace {
@@ -175,69 +177,55 @@ TEST_F(ServiceTest, ExtractAutoKPicksKnee) {
   }
 }
 
-/// A tenant wide enough that auto parallelism shards Stages 1 and 3 on
-/// any multi-core machine (ResolveParallelism gives each worker 4096
-/// complex objects): 8192 complex objects in two Stage-1 types.
-constexpr size_t kWideComplex = 8192;
-
-catalog::Workspace MakeWideWorkspace() {
-  graph::DataGraph g;
-  graph::ObjectId v = g.AddAtomic("v");
-  for (size_t i = 0; i < kWideComplex; ++i) {
-    EXPECT_OK(g.AddEdge(g.AddComplex(), v, i % 2 == 0 ? "a" : "b"));
-  }
-  catalog::Workspace ws;
-  ws.SetGraph(g);
-  ws.assignment = typing::TypeAssignment(ws.graph->NumObjects());
-  return ws;
+/// A response result without its "timings" object (wall clock, which
+/// varies by run), serialized for comparison.
+std::string WithoutTimings(const Value& result) {
+  std::map<std::string, Value> fields = result.AsObject();
+  fields.erase("timings");
+  return json::Serialize(Value::Object(std::move(fields)));
 }
 
-TEST_F(ServiceTest, ExtractReportsStageThreadsAndSaveTime) {
-  const size_t auto_threads =
-      extract::internal::ResolveParallelism(0, kWideComplex);
-  if (std::thread::hardware_concurrency() >= 2) {
-    ASSERT_GE(auto_threads, 2u);  // so "inline" below is a real choice
+TEST_F(ServiceTest, ExtractReportsSaveTime) {
+  Server server;
+  ASSERT_OK(server.InstallWorkspace("dbg", MakeDbgWorkspace()));
+  // extract (k = 1) then re_extract, each without and then with a
+  // save_dir.
+  std::vector<Value> responses;
+  for (bool save : {false, true}) {
+    Request req = MakeRequest(Verb::kExtract);
+    req.extract.workspace = "dbg";
+    req.extract.k = 1;
+    if (save) req.extract.save_dir = (dir_ / "extract").string();
+    Response resp = server.Handle(req);
+    ASSERT_OK(resp.status);
+    responses.push_back(resp.result);
   }
-  // Runs extract (k = 1) then re_extract, each with or without a
-  // save_dir, and returns the four responses in that order.
-  auto run = [&](Server& server) {
-    EXPECT_OK(server.InstallWorkspace("wide", MakeWideWorkspace()));
-    std::vector<Value> out;
-    for (bool save : {false, true}) {
-      Request req = MakeRequest(Verb::kExtract);
-      req.extract.workspace = "wide";
-      req.extract.k = 1;
-      if (save) req.extract.save_dir = (dir_ / "extract").string();
-      Response resp = server.Handle(req);
-      EXPECT_OK(resp.status);
-      out.push_back(resp.result);
-    }
-    for (bool save : {false, true}) {
-      Request req = MakeRequest(Verb::kReExtract);
-      req.re_extract.workspace = "wide";
-      if (save) req.re_extract.save_dir = (dir_ / "re_extract").string();
-      Response resp = server.Handle(req);
-      EXPECT_OK(resp.status);
-      out.push_back(resp.result);
-    }
-    return out;
-  };
-
-  // A default server runs the stages inline, even on this tenant.
-  EXPECT_EQ(ServerOptions().default_parallelism, 1u);
-  Server inline_server;
-  std::vector<Value> responses = run(inline_server);
-  ASSERT_EQ(responses.size(), 4u);
+  for (bool save : {false, true}) {
+    Request req = MakeRequest(Verb::kReExtract);
+    req.re_extract.workspace = "dbg";
+    if (save) req.re_extract.save_dir = (dir_ / "re_extract").string();
+    Response resp = server.Handle(req);
+    ASSERT_OK(resp.status);
+    responses.push_back(resp.result);
+  }
   for (size_t i = 0; i < responses.size(); ++i) {
     SCOPED_TRACE(i);
     const Value& timings = Field(responses[i], "timings");
-    EXPECT_EQ(Field(timings, "threads").AsNumber(), 1);
+    for (const char* key : {"stage1_ms", "cluster_ms", "recast_ms",
+                            "total_ms"}) {
+      EXPECT_GE(Field(timings, key).AsNumber(), 0) << key;
+    }
+    // Every stage runs on the request's worker; no thread count is
+    // reported.
+    EXPECT_EQ(timings.AsObject().count("threads"), 0u);
     // save_ms appears exactly when the request set save_dir.
     const bool saved = i % 2 == 1;
     EXPECT_EQ(timings.AsObject().count("save_ms"), saved ? 1u : 0u);
-    if (saved) EXPECT_GE(Field(timings, "save_ms").AsNumber(), 0);
+    if (saved) {
+      EXPECT_GE(Field(timings, "save_ms").AsNumber(), 0);
+    }
   }
-  Response stats = inline_server.Handle(MakeRequest(Verb::kStats));
+  Response stats = server.Handle(MakeRequest(Verb::kStats));
   ASSERT_OK(stats.status);
   bool save_histogram = false;
   for (const Value& v : Field(stats.result, "verbs").AsArray()) {
@@ -246,24 +234,69 @@ TEST_F(ServiceTest, ExtractReportsStageThreadsAndSaveTime) {
     EXPECT_EQ(Field(v, "count").AsNumber(), 2);  // one extract, one re_extract
   }
   EXPECT_TRUE(save_histogram);
+}
 
-  // default_parallelism 0 restores auto, and the response reports the
-  // resolved worker count.
-  ServerOptions auto_opt;
-  auto_opt.default_parallelism = 0;
-  Server auto_server(auto_opt);
-  for (const Value& r : run(auto_server)) {
-    EXPECT_EQ(Field(Field(r, "timings"), "threads").AsNumber(), auto_threads);
+TEST_F(ServiceTest, RemovedParallelismFieldIsIgnored) {
+  // extract and re_extract used to take a "parallelism" thread count.
+  // The field is gone, and like any unknown field it is ignored: a
+  // request that still carries it, at any value, gets the response it
+  // would get without it.
+  auto run = [](const std::string& extra) {
+    Server server;
+    EXPECT_OK(server.InstallWorkspace("dbg", MakeDbgWorkspace()));
+    std::vector<std::string> out;
+    for (const std::string& line :
+         {"{\"id\":1,\"verb\":\"extract\",\"params\":{\"workspace\":"
+          "\"dbg\",\"k\":6" + extra + "}}",
+          "{\"id\":2,\"verb\":\"re_extract\",\"params\":{\"workspace\":"
+          "\"dbg\"" + extra + "}}"}) {
+      auto req = ParseRequestJson(line);
+      EXPECT_TRUE(req.ok()) << req.status().ToString();
+      if (!req.ok()) continue;
+      Response resp = server.Handle(*req);
+      EXPECT_OK(resp.status);
+      out.push_back(WithoutTimings(resp.result));
+    }
+    return out;
+  };
+  const std::vector<std::string> plain = run("");
+  ASSERT_EQ(plain.size(), 2u);
+  EXPECT_EQ(run(",\"parallelism\":100000"), plain);
+  EXPECT_EQ(run(",\"parallelism\":1"), plain);
+}
+
+TEST_F(ServiceTest, TypeVerbPinsGfpCountersOnDbg) {
+  // The type verb's gfp counters are on the wire and depend on the GFP
+  // engine's sweep order: the prefilter, then the initial check of every
+  // candidate pair in (type, object) order, then the FIFO worklist.
+  // Pinned for the workspace's own 6-type schema and for DBG's 92-type
+  // perfect typing, sent inline.
+  Server server;
+  catalog::Workspace ws = MakeDbgWorkspace();
+  ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult perfect,
+                       typing::PerfectTypingViaHashRefinement(ws.View()));
+  const std::string perfect_text =
+      typing::WriteTypingProgram(perfect.program, ws.View().labels());
+  ASSERT_OK(server.InstallWorkspace("dbg", std::move(ws)));
+
+  struct Case {
+    std::string program;
+    double initial_candidates, rechecks, removed;
+  };
+  for (const Case& c : {Case{"", 72, 88, 52},
+                        Case{perfect_text, 851, 1027, 725}}) {
+    SCOPED_TRACE(c.program.empty() ? "schema" : "perfect typing");
+    Request req = MakeRequest(Verb::kType);
+    req.type.workspace = "dbg";
+    req.type.program = c.program;
+    Response resp = server.Handle(req);
+    ASSERT_OK(resp.status);
+    const Value& gfp = Field(resp.result, "gfp");
+    EXPECT_EQ(Field(gfp, "initial_candidates").AsNumber(),
+              c.initial_candidates);
+    EXPECT_EQ(Field(gfp, "rechecks").AsNumber(), c.rechecks);
+    EXPECT_EQ(Field(gfp, "removed").AsNumber(), c.removed);
   }
-
-  // An explicit request value overrides either default.
-  Request req = MakeRequest(Verb::kExtract);
-  req.extract.workspace = "wide";
-  req.extract.k = 1;
-  req.extract.parallelism = 3;
-  Response resp = inline_server.Handle(req);
-  ASSERT_OK(resp.status);
-  EXPECT_EQ(Field(Field(resp.result, "timings"), "threads").AsNumber(), 3);
 }
 
 TEST_F(ServiceTest, ApplyDeltaTypesComplexArrivals) {

@@ -16,8 +16,7 @@
 //   schemexctl --connect HOST:PORT --extract WORKSPACE
 //       build and send one extract request without hand-writing JSON.
 //       Extract flags: --k N (target type count; 0 = auto knee),
-//       --stage1 refinement|gfp, --parallelism N (0 = server default,
-//       1 = inline), --save-dir DIR.
+//       --stage1 refinement|gfp, --save-dir DIR.
 //
 //   schemexctl --connect HOST:PORT --apply-delta WORKSPACE --ops '<json>'
 //       build and send one apply_delta request; --ops takes the ops
@@ -26,8 +25,8 @@
 //
 //   schemexctl --connect HOST:PORT --re-extract WORKSPACE
 //       build and send one re_extract request (incremental
-//       re-extraction). Takes --k, --parallelism, --save-dir like
-//       --extract; k 0 reuses the cached run's k.
+//       re-extraction). Takes --k and --save-dir like --extract; k 0
+//       reuses the cached run's k.
 //
 // Flags:
 //   --timeout S   per-response wait budget in seconds (default 30)
@@ -55,7 +54,7 @@ int Usage(const char* argv0) {
                "           | --apply-delta WORKSPACE --ops JSON [--compact]\n"
                "           | --re-extract WORKSPACE)\n"
                "          [--timeout S] [--k N] [--stage1 refinement|gfp]\n"
-               "          [--parallelism N] [--save-dir DIR]\n",
+               "          [--save-dir DIR]\n",
                argv0);
   return 2;
 }
@@ -82,7 +81,6 @@ int main(int argc, char** argv) {
   std::string extract_workspace;
   uint64_t extract_k = 0;
   std::string extract_stage1;
-  uint64_t extract_parallelism = 0;
   std::string extract_save_dir;
   std::string apply_delta_workspace;
   std::string apply_delta_ops;
@@ -122,12 +120,6 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
       extract_stage1 = v;
-    } else if (arg == "--parallelism") {
-      const char* v = next();
-      if (v == nullptr ||
-          !schemex::util::ParseUint64(v, &extract_parallelism)) {
-        return Usage(argv[0]);
-      }
     } else if (arg == "--save-dir") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -161,9 +153,6 @@ int main(int argc, char** argv) {
     params["k"] = JsonUint(extract_k);
     if (!extract_stage1.empty()) {
       params["stage1"] = Value::String(extract_stage1);
-    }
-    if (extract_parallelism != 0) {
-      params["parallelism"] = JsonUint(extract_parallelism);
     }
     if (!extract_save_dir.empty()) {
       params["save_dir"] = Value::String(extract_save_dir);
@@ -202,9 +191,6 @@ int main(int argc, char** argv) {
     std::map<std::string, Value> params;
     params["workspace"] = Value::String(re_extract_workspace);
     params["k"] = JsonUint(extract_k);
-    if (extract_parallelism != 0) {
-      params["parallelism"] = JsonUint(extract_parallelism);
-    }
     if (!extract_save_dir.empty()) {
       params["save_dir"] = Value::String(extract_save_dir);
     }
