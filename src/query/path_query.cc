@@ -1,9 +1,8 @@
 #include "query/path_query.h"
 
 #include <algorithm>
-#include <deque>
+#include <span>
 
-#include "util/bitset.h"
 #include "util/string_util.h"
 
 namespace schemex::query {
@@ -116,42 +115,63 @@ util::StatusOr<PathQuery> ParsePathQuery(std::string_view text) {
 
 namespace {
 
-/// Frontier expansion for one step; kAnyStar computes a reachability
-/// closure.
-util::DenseBitset Advance(graph::GraphView g,
-                          const util::DenseBitset& frontier,
-                          const PathStep& step, QueryStats* stats) {
-  util::DenseBitset next(g.NumObjects());
-  auto expand_one = [&](size_t o, graph::LabelId want, bool any) {
-    ++stats->objects_visited;
-    for (const graph::HalfEdge& e :
-         g.OutEdges(static_cast<graph::ObjectId>(o))) {
-      ++stats->edges_scanned;
-      if (any || e.label == want) next.Set(e.other);
-    }
-  };
+util::Status Poll(const CancelHook& check_cancel) {
+  return check_cancel ? check_cancel() : util::Status::OK();
+}
+
+/// The run of `row` carrying label `l`. Rows are sorted by (label,
+/// other), so the run starts at the lower bound and ends at the first
+/// edge with another label.
+std::span<const graph::HalfEdge> LabelRun(std::span<const graph::HalfEdge> row,
+                                          graph::LabelId l) {
+  auto lo = std::lower_bound(
+      row.begin(), row.end(), l,
+      [](const graph::HalfEdge& e, graph::LabelId want) {
+        return e.label < want;
+      });
+  auto hi = lo;
+  while (hi != row.end() && hi->label == l) ++hi;
+  return {lo, hi};
+}
+
+/// Advances `frontier` through one step; `%` computes a reachability
+/// closure that includes the frontier itself.
+util::Status Advance(graph::GraphView g, const PathStep& step,
+                     const CancelHook& check_cancel,
+                     util::DenseBitset* frontier, QueryStats* stats) {
   switch (step.kind) {
     case PathStep::Kind::kFilterOnly:
-      return frontier;  // the filter is applied by the caller
-    case PathStep::Kind::kLabel: {
-      graph::LabelId l = g.labels().Find(step.label);
-      if (l == graph::kInvalidLabel) return next;  // label absent: empty
-      frontier.ForEach([&](size_t o) { expand_one(o, l, false); });
-      return next;
+      return util::Status::OK();  // the filter is applied by the caller
+    case PathStep::Kind::kLabel:
+    case PathStep::Kind::kAnyOne: {
+      const bool any = step.kind == PathStep::Kind::kAnyOne;
+      const graph::LabelId l =
+          any ? graph::kInvalidLabel : g.labels().Find(step.label);
+      util::DenseBitset next(g.NumObjects());
+      if (any || l != graph::kInvalidLabel) {  // absent label: empty
+        frontier->ForEach([&](size_t o) {
+          ++stats->objects_visited;
+          auto row = g.OutEdges(static_cast<graph::ObjectId>(o));
+          for (const graph::HalfEdge& e : any ? row : LabelRun(row, l)) {
+            ++stats->edges_scanned;
+            next.Set(e.other);
+          }
+        });
+      }
+      *frontier = std::move(next);
+      return util::Status::OK();
     }
-    case PathStep::Kind::kAnyOne:
-      frontier.ForEach(
-          [&](size_t o) { expand_one(o, graph::kInvalidLabel, true); });
-      return next;
     case PathStep::Kind::kAnyStar: {
-      // BFS closure including the frontier itself.
-      util::DenseBitset seen = frontier;
-      std::deque<graph::ObjectId> work;
-      frontier.ForEach(
+      util::DenseBitset& seen = *frontier;
+      std::vector<graph::ObjectId> work;
+      seen.ForEach(
           [&](size_t o) { work.push_back(static_cast<graph::ObjectId>(o)); });
-      while (!work.empty()) {
-        graph::ObjectId o = work.front();
-        work.pop_front();
+      for (size_t pops = 1; !work.empty(); ++pops) {
+        if (pops % kQueryCancelPollInterval == 0) {
+          SCHEMEX_RETURN_IF_ERROR(Poll(check_cancel));
+        }
+        graph::ObjectId o = work.back();
+        work.pop_back();
         ++stats->objects_visited;
         for (const graph::HalfEdge& e : g.OutEdges(o)) {
           ++stats->edges_scanned;
@@ -161,55 +181,72 @@ util::DenseBitset Advance(graph::GraphView g,
           }
         }
       }
-      return seen;
+      return util::Status::OK();
     }
   }
-  return next;
+  return util::Status::OK();
+}
+
+/// Keeps the complex objects of `frontier` with an `attr` edge to an
+/// atomic holding exactly the filter's value.
+void ApplyFilter(graph::GraphView g, const ValueFilter& filter,
+                 util::DenseBitset* frontier, QueryStats* stats) {
+  const graph::LabelId attr = g.labels().Find(filter.attr);
+  util::DenseBitset kept(g.NumObjects());
+  if (attr != graph::kInvalidLabel) {
+    frontier->ForEach([&](size_t o) {
+      ++stats->objects_visited;
+      if (g.IsAtomic(static_cast<graph::ObjectId>(o))) return;
+      for (const graph::HalfEdge& e :
+           LabelRun(g.OutEdges(static_cast<graph::ObjectId>(o)), attr)) {
+        ++stats->edges_scanned;
+        if (g.IsAtomic(e.other) && g.Value(e.other) == filter.value) {
+          kept.Set(o);
+          return;
+        }
+      }
+    });
+  }
+  *frontier = std::move(kept);
 }
 
 }  // namespace
 
-std::vector<graph::ObjectId> EvaluatePathQuery(
-    graph::GraphView g, const PathQuery& q,
-    const std::vector<graph::ObjectId>& starts, QueryStats* stats) {
-  QueryStats local;
-  util::DenseBitset frontier(g.NumObjects());
-  if (starts.empty()) {
-    for (graph::ObjectId o = 0; o < g.NumObjects(); ++o) {
-      if (g.IsComplex(o)) frontier.Set(o);
-    }
-  } else {
-    for (graph::ObjectId o : starts) frontier.Set(o);
+util::DenseBitset AllComplexObjects(graph::GraphView g) {
+  util::DenseBitset out(g.NumObjects());
+  for (graph::ObjectId o = 0; o < g.NumObjects(); ++o) {
+    if (g.IsComplex(o)) out.Set(o);
   }
+  return out;
+}
+
+util::StatusOr<std::vector<graph::ObjectId>> EvaluateFrom(
+    graph::GraphView g, const PathQuery& q, util::DenseBitset frontier,
+    const CancelHook& check_cancel, QueryStats* stats) {
+  QueryStats local;
+  QueryStats* s = stats != nullptr ? stats : &local;
+  *s = QueryStats{};
   for (const PathStep& step : q.steps) {
-    frontier = Advance(g, frontier, step, &local);
-    if (step.filter.has_value()) {
-      graph::LabelId attr = g.labels().Find(step.filter->attr);
-      util::DenseBitset kept(g.NumObjects());
-      if (attr != graph::kInvalidLabel) {
-        frontier.ForEach([&](size_t o) {
-          ++local.objects_visited;
-          if (g.IsAtomic(static_cast<graph::ObjectId>(o))) return;
-          for (const graph::HalfEdge& e :
-               g.OutEdges(static_cast<graph::ObjectId>(o))) {
-            ++local.edges_scanned;
-            if (e.label == attr && g.IsAtomic(e.other) &&
-                g.Value(e.other) == step.filter->value) {
-              kept.Set(o);
-              return;
-            }
-          }
-        });
-      }
-      frontier = std::move(kept);
-    }
+    SCHEMEX_RETURN_IF_ERROR(Poll(check_cancel));
+    SCHEMEX_RETURN_IF_ERROR(Advance(g, step, check_cancel, &frontier, s));
+    if (step.filter.has_value()) ApplyFilter(g, *step.filter, &frontier, s);
     if (frontier.None()) break;
   }
   std::vector<graph::ObjectId> out;
   frontier.ForEach(
       [&](size_t o) { out.push_back(static_cast<graph::ObjectId>(o)); });
-  if (stats != nullptr) *stats = local;
   return out;
+}
+
+std::vector<graph::ObjectId> EvaluatePathQuery(
+    graph::GraphView g, const PathQuery& q,
+    const std::vector<graph::ObjectId>& starts, QueryStats* stats) {
+  util::DenseBitset frontier = starts.empty()
+                                  ? AllComplexObjects(g)
+                                  : util::DenseBitset(g.NumObjects());
+  for (graph::ObjectId o : starts) frontier.Set(o);
+  // No hook, so the loop cannot fail.
+  return EvaluateFrom(g, q, std::move(frontier), nullptr, stats).value();
 }
 
 }  // namespace schemex::query

@@ -38,10 +38,18 @@ SchemaGuide::SchemaGuide(const typing::TypingProgram& program,
 
 std::vector<TypeId> SchemaGuide::StartTypes(graph::GraphView g,
                                             const PathQuery& q) const {
+  // No hook, so the DP cannot fail.
+  return StartTypes(g, q, nullptr).value();
+}
+
+util::StatusOr<std::vector<TypeId>> SchemaGuide::StartTypes(
+    graph::GraphView g, const PathQuery& q,
+    const CancelHook& check_cancel) const {
   const size_t n = program_.NumTypes();
   // Backward DP: can[i] = nodes from which steps[i..] match.
   NodeSet can(n, true);  // past the end: anything matches
   for (size_t i = q.steps.size(); i-- > 0;) {
+    if (check_cancel) SCHEMEX_RETURN_IF_ERROR(check_cancel());
     const PathStep& step = q.steps[i];
     if (step.kind == PathStep::Kind::kFilterOnly) {
       continue;  // value filters are invisible to the schema: no change
@@ -70,7 +78,8 @@ std::vector<TypeId> SchemaGuide::StartTypes(graph::GraphView g,
     if (step.kind == PathStep::Kind::kLabel) {
       want = g.labels().Find(step.label);
       if (want == graph::kInvalidLabel) {
-        return {};  // label absent from the data: nothing can match
+        // Label absent from the data: nothing can match.
+        return std::vector<TypeId>{};
       }
     }
     NodeSet next(n, false);  // ATOM has no outgoing edges: next.atom false

@@ -35,14 +35,28 @@ class SchemaGuide {
   std::vector<typing::TypeId> StartTypes(graph::GraphView g,
                                          const PathQuery& q) const;
 
-  /// Objects assigned to some start type (the pruned start set).
+  /// As above, polling `check_cancel` before each step: one step costs a
+  /// pass over the schema edges, so a query of many steps over a large
+  /// schema is long-running on its own.
+  util::StatusOr<std::vector<typing::TypeId>> StartTypes(
+      graph::GraphView g, const PathQuery& q,
+      const CancelHook& check_cancel) const;
+
+  /// Objects assigned to some start type (the pruned start set), found by
+  /// scanning every object's types. Serving code starts from
+  /// QueryIndex's per-type extents instead; this scan stays for callers
+  /// that hold no index.
   std::vector<graph::ObjectId> StartCandidates(graph::GraphView g,
                                                const PathQuery& q) const;
 
-  /// EvaluatePathQuery from the pruned start set.
+  /// EvaluatePathQuery from the pruned start set; empty when no type can
+  /// start `q`. QueryIndex::Evaluate returns the same set.
   std::vector<graph::ObjectId> Evaluate(graph::GraphView g,
                                         const PathQuery& q,
                                         QueryStats* stats = nullptr) const;
+
+  /// Heap bytes of the schema edges.
+  size_t MemoryUsage() const { return edges_.capacity() * sizeof(SchemaEdge); }
 
  private:
   struct SchemaEdge {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string_view>
@@ -13,7 +14,7 @@
 #include "extract/knee.h"
 #include "graph/delta_overlay.h"
 #include "query/path_query.h"
-#include "query/schema_guide.h"
+#include "query/query_index.h"
 #include "snapshot/mapped_file.h"
 #include "typing/defect.h"
 #include "typing/gfp.h"
@@ -147,23 +148,35 @@ void AddExtractionFields(const extract::ExtractionResult& result,
 }
 
 /// Turns an absolute deadline into a cooperative-cancellation hook for
-/// the extract pipeline; kMax disables polling entirely.
+/// the extract pipeline or the query step loop (`what` names it in the
+/// error); kMax disables polling entirely.
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 
 std::function<util::Status()> DeadlineHook(
-    std::chrono::steady_clock::time_point deadline) {
+    std::chrono::steady_clock::time_point deadline, const char* what) {
   if (deadline == kNoDeadline) return nullptr;
-  return [deadline]() -> util::Status {
+  return [deadline, what]() -> util::Status {
     auto now = std::chrono::steady_clock::now();
     if (now < deadline) return util::Status::OK();
     return util::Status::DeadlineExceeded(util::StringPrintf(
-        "extract pipeline exceeded its budget (%.3fs past the deadline at "
-        "a stage boundary)",
+        "%s exceeded its budget (%.3fs past the deadline)", what,
         std::chrono::duration<double>(now - deadline).count()));
   };
 }
 
 }  // namespace
+
+/// The index lives beside the workspace and not inside
+/// catalog::Workspace, so the copy a writer makes to build the next
+/// generation never carries a stale index.
+struct Server::Generation {
+  explicit Generation(catalog::Workspace w) : ws(std::move(w)) {}
+
+  const catalog::Workspace ws;
+  mutable std::once_flag index_once;
+  /// Set once under index_once; borrows ws.program and ws.assignment.
+  mutable std::unique_ptr<const query::QueryIndex> index;
+};
 
 Server::Server(const ServerOptions& options)
     : options_(options),
@@ -288,11 +301,11 @@ std::vector<std::string> Server::WorkspaceNames() const {
   util::ReaderMutexLock lock(cache_mu_);
   std::vector<std::string> names;
   names.reserve(cache_.size());
-  for (const auto& [name, ws] : cache_) names.push_back(name);
+  for (const auto& [name, gen] : cache_) names.push_back(name);
   return names;
 }
 
-util::StatusOr<Server::WorkspacePtr> Server::GetWorkspace(
+util::StatusOr<Server::GenerationPtr> Server::GetGeneration(
     const std::string& name) const {
   util::ReaderMutexLock lock(cache_mu_);
   auto it = cache_.find(name);
@@ -303,15 +316,35 @@ util::StatusOr<Server::WorkspacePtr> Server::GetWorkspace(
   return it->second;
 }
 
+util::StatusOr<Server::WorkspacePtr> Server::GetWorkspace(
+    const std::string& name) const {
+  SCHEMEX_ASSIGN_OR_RETURN(GenerationPtr gen, GetGeneration(name));
+  const catalog::Workspace* ws = &gen->ws;
+  return WorkspacePtr(std::move(gen), ws);
+}
+
+const query::QueryIndex& Server::IndexFor(const Generation& gen) {
+  std::call_once(gen.index_once, [&] {
+    util::WallTimer timer;
+    gen.index = std::make_unique<const query::QueryIndex>(gen.ws.program,
+                                                          gen.ws.assignment);
+    metrics_.AddCounter("query.index_builds", 1);
+    metrics_.AddCounter("query.index_build_us",
+                        static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
+  });
+  return *gen.index;
+}
+
 void Server::PutWorkspace(const std::string& name, catalog::Workspace ws) {
-  auto snapshot = std::make_shared<const catalog::Workspace>(std::move(ws));
+  auto snapshot = std::make_shared<const Generation>(std::move(ws));
   {
     util::WriterMutexLock lock(cache_mu_);
     cache_[name].swap(snapshot);
   }
   // `snapshot` now holds the replaced generation. If this was its last
-  // reference, freeing it (assignment, extraction cache, possibly the old
-  // graph and its mapping) happens here, off the lock every query takes.
+  // reference, freeing it (assignment, extraction cache, query index,
+  // possibly the old graph and its mapping) happens here, off the lock
+  // every query takes.
 }
 
 util::StatusOr<json::Value> Server::Dispatch(const Request& req,
@@ -324,7 +357,7 @@ util::StatusOr<json::Value> Server::Dispatch(const Request& req,
     case Verb::kType:
       return HandleType(req.type);
     case Verb::kQuery:
-      return HandleQuery(req.query);
+      return HandleQuery(req.query, deadline);
     case Verb::kStats:
       return HandleStats();
     case Verb::kListWorkspaces:
@@ -372,7 +405,7 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
                    ? extract::ExtractorOptions::Stage1Algorithm::kGfp
                    : extract::ExtractorOptions::Stage1Algorithm::kRefinement;
   opt.decompose_roles = p.decompose_roles;
-  opt.check_cancel = DeadlineHook(deadline);
+  opt.check_cancel = DeadlineHook(deadline, "extract pipeline");
 
   // k == 0 = automatic: sweep the k axis and take the §8 knee within the
   // epsilon tolerance. The knee never picks k > max_types, so the sweep
@@ -497,23 +530,28 @@ util::StatusOr<json::Value> Server::HandleType(const TypeParams& p) {
   return Value::Object(std::move(f));
 }
 
-util::StatusOr<json::Value> Server::HandleQuery(const QueryParams& p) {
-  SCHEMEX_ASSIGN_OR_RETURN(WorkspacePtr snapshot, GetWorkspace(p.workspace));
-  graph::GraphView g = snapshot->View();
+util::StatusOr<json::Value> Server::HandleQuery(const QueryParams& p,
+                                                Clock::time_point deadline) {
+  SCHEMEX_ASSIGN_OR_RETURN(GenerationPtr gen, GetGeneration(p.workspace));
+  const catalog::Workspace& ws = gen->ws;
+  graph::GraphView g = ws.View();
 
   SCHEMEX_ASSIGN_OR_RETURN(query::PathQuery q,
                            query::ParsePathQuery(p.query));
 
+  const query::CancelHook check_cancel = DeadlineHook(deadline, "query");
   query::QueryStats qstats;
   std::vector<graph::ObjectId> results;
-  const bool guided = p.use_guide && snapshot->program.NumTypes() > 0;
+  const bool guided = p.use_guide && ws.program.NumTypes() > 0;
   if (guided) {
-    // The guide borrows the snapshot's program/assignment; the
-    // shared_ptr keeps them alive for the whole evaluation.
-    query::SchemaGuide guide(snapshot->program, snapshot->assignment);
-    results = guide.Evaluate(g, q, &qstats);
+    // `gen` keeps the index and the program/assignment it borrows alive
+    // for the whole evaluation.
+    SCHEMEX_ASSIGN_OR_RETURN(
+        results, IndexFor(*gen).Evaluate(g, q, check_cancel, &qstats));
   } else {
-    results = query::EvaluatePathQuery(g, q, {}, &qstats);
+    SCHEMEX_ASSIGN_OR_RETURN(
+        results, query::EvaluateFrom(g, q, query::AllComplexObjects(g),
+                                     check_cancel, &qstats));
   }
 
   std::vector<Value> objects;
@@ -556,7 +594,8 @@ util::StatusOr<json::Value> Server::HandleStats() {
   std::vector<Value> delta_rows;
   {
     util::ReaderMutexLock lock(cache_mu_);
-    for (const auto& [name, ws] : cache_) {
+    for (const auto& [name, gen] : cache_) {
+      const catalog::Workspace* ws = &gen->ws;
       if (ws->graph && seen_graphs.insert(ws->graph->id()).second) {
         graph_bytes += ws->graph->MemoryUsage();
       }
@@ -598,15 +637,15 @@ util::StatusOr<json::Value> Server::HandleStats() {
 }
 
 util::StatusOr<json::Value> Server::HandleListWorkspaces() {
-  std::vector<std::pair<std::string, WorkspacePtr>> entries;
+  std::vector<std::pair<std::string, GenerationPtr>> entries;
   {
     util::ReaderMutexLock lock(cache_mu_);
     entries.assign(cache_.begin(), cache_.end());
   }
   std::vector<Value> out;
   out.reserve(entries.size());
-  for (const auto& [name, ws] : entries) {
-    out.push_back(WorkspaceSummary(name, *ws));
+  for (const auto& [name, gen] : entries) {
+    out.push_back(WorkspaceSummary(name, gen->ws));
   }
   std::map<std::string, Value> f;
   f["workspaces"] = Value::Array(std::move(out));
@@ -767,7 +806,8 @@ util::StatusOr<json::Value> Server::HandleReExtract(
   SCHEMEX_ASSIGN_OR_RETURN(
       extract::ExtractionResult result,
       extract::ReExtract(g, cache, touched, static_cast<size_t>(p.k),
-                         DeadlineHook(deadline), inc, &rstats));
+                         DeadlineHook(deadline, "extract pipeline"), inc,
+                         &rstats));
   const size_t chosen_k =
       p.k != 0 ? static_cast<size_t>(p.k) : cache.chosen_k;
 

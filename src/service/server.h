@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "catalog/workspace.h"
+#include "query/query_index.h"
 #include "service/metrics.h"
 #include "service/request.h"
 #include "util/thread_annotations.h"
@@ -27,20 +28,22 @@ struct ServerOptions {
 /// The schemexd dispatcher: a long-lived, concurrent schema service.
 ///
 /// Workspaces live in a read-mostly cache keyed by name. Each entry is an
-/// immutable `shared_ptr<const Workspace>` snapshot; a `shared_mutex`
-/// guards only the map. Readers (query/type/list) take the shared lock
-/// just long enough to copy the pointer and then evaluate lock-free on
-/// the snapshot; writers (load/extract/type-commit) build the replacement
-/// workspace off-lock and swap it in under the exclusive lock. A query
-/// racing a re-extract therefore always sees a consistent workspace —
-/// either the old one or the new one, never a mix.
+/// immutable published generation (a workspace snapshot); a
+/// `shared_mutex` guards only the map. Readers (query/type/list) take the
+/// shared lock just long enough to copy the pointer and then evaluate
+/// lock-free on the snapshot; writers (load/extract/type-commit) build
+/// the replacement workspace off-lock and swap it in under the exclusive
+/// lock. A query racing a re-extract therefore always sees a consistent
+/// workspace — either the old one or the new one, never a mix. The first
+/// guided query of a generation builds that generation's
+/// query::QueryIndex, once and off the lock; later queries share it.
 ///
 /// Requests are routed onto a fixed ThreadPool. Timeouts are enforced at
 /// three points: a request that out-waits its budget in the queue fails
-/// without executing, the extract pipeline polls its deadline between
-/// stage boundaries and aborts with kDeadlineExceeded, and the
-/// synchronous Handle() stops waiting once the budget elapses (the worker
-/// then discards its late result).
+/// without executing, the extract pipeline and the query step loop poll
+/// their deadline and abort with kDeadlineExceeded, and the synchronous
+/// Handle() stops waiting once the budget elapses (the worker then
+/// discards its late result).
 class Server {
  public:
   explicit Server(const ServerOptions& options = {});
@@ -83,6 +86,11 @@ class Server {
   using Clock = std::chrono::steady_clock;
   using WorkspacePtr = std::shared_ptr<const catalog::Workspace>;
 
+  /// One published workspace generation plus its lazily built query
+  /// index (defined in server.cc).
+  struct Generation;
+  using GenerationPtr = std::shared_ptr<const Generation>;
+
   /// Resolves the effective budget for a request (0 = unlimited).
   double EffectiveTimeout(const Request& req) const;
 
@@ -106,7 +114,8 @@ class Server {
   util::StatusOr<json::Value> HandleExtract(const ExtractParams& p,
                                             Clock::time_point deadline);
   util::StatusOr<json::Value> HandleType(const TypeParams& p);
-  util::StatusOr<json::Value> HandleQuery(const QueryParams& p);
+  util::StatusOr<json::Value> HandleQuery(const QueryParams& p,
+                                          Clock::time_point deadline);
   util::StatusOr<json::Value> HandleStats();
   util::StatusOr<json::Value> HandleListWorkspaces();
   util::StatusOr<json::Value> HandleApplyDelta(const ApplyDeltaParams& p);
@@ -114,7 +123,18 @@ class Server {
                                               Clock::time_point deadline);
 
   /// Snapshot of a cache entry (shared lock held only for the map read).
+  util::StatusOr<GenerationPtr> GetGeneration(const std::string& name) const
+      SCHEMEX_EXCLUDES(cache_mu_);
+
+  /// The workspace of GetGeneration's entry; the pointer keeps the whole
+  /// generation alive.
   util::StatusOr<WorkspacePtr> GetWorkspace(const std::string& name) const
+      SCHEMEX_EXCLUDES(cache_mu_);
+
+  /// `gen`'s query index, built by the first caller (others wait for it)
+  /// and counted in the query.index_builds / query.index_build_us
+  /// counters. Callers hold no lock.
+  const query::QueryIndex& IndexFor(const Generation& gen)
       SCHEMEX_EXCLUDES(cache_mu_);
 
   /// Swaps `ws` in under the exclusive lock; the replaced generation is
@@ -126,7 +146,7 @@ class Server {
   MetricsRegistry metrics_;
 
   mutable util::SharedMutex cache_mu_;
-  std::map<std::string, WorkspacePtr> cache_ SCHEMEX_GUARDED_BY(cache_mu_);
+  std::map<std::string, GenerationPtr> cache_ SCHEMEX_GUARDED_BY(cache_mu_);
 
   // Last member: destroyed (joined) first, so in-flight workers never
   // touch an already-destroyed cache or registry.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <future>
@@ -17,6 +18,7 @@
 #include "extract/knee.h"
 #include "gen/dbg.h"
 #include "gen/random_graph.h"
+#include "gen/spec.h"
 #include "json/json.h"
 #include "service/request.h"
 #include "tests/test_util.h"
@@ -561,6 +563,64 @@ TEST_F(ServiceTest, ExtractDeadlineCutsPipelineMidFlight) {
   EXPECT_EQ(Field(Field(list.result, "workspaces").AsArray()[0], "num_types")
                 .AsNumber(),
             0);
+}
+
+TEST_F(ServiceTest, QueryDeadlineStopsTheStepLoop) {
+  // One worker. A query of 100k `%` steps would hold it for seconds
+  // (each step is a closure over the whole tenant). Its budget has to
+  // stop the step loop itself, so the next query is answered at once
+  // rather than queueing behind a result nobody waits for.
+  ServerOptions opt;
+  opt.num_threads = 1;
+  Server server(opt);
+  gen::DatasetSpec spec = gen::DbgSpec();
+  for (auto& t : spec.types) t.count *= 20;
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 77));
+  extract::ExtractorOptions eopt;
+  eopt.target_num_types = 6;
+  ASSERT_OK_AND_ASSIGN(extract::ExtractionResult r,
+                       extract::SchemaExtractor(eopt).Run(g));
+  catalog::Workspace ws;
+  ws.SetGraph(g);
+  ws.program = r.final_program;
+  ws.assignment = r.recast.assignment;
+  ASSERT_OK(server.InstallWorkspace("big", std::move(ws)));
+
+  std::string many = "%";
+  for (int i = 1; i < 100000; ++i) many += ".%";
+  auto answers_promptly = [&](int64_t id) {
+    Request normal = MakeRequest(Verb::kQuery, id);
+    normal.query.workspace = "big";
+    normal.query.query = "project.name";
+    normal.timeout_s = 5;
+    const auto t0 = std::chrono::steady_clock::now();
+    Response resp = server.Handle(normal);
+    EXPECT_TRUE(resp.status.ok()) << resp.status;
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  };
+
+  // Guided, through HandleAsync: the status is the worker's own, so it
+  // is the step loop that gave up, not Handle's wait.
+  Request guided = MakeRequest(Verb::kQuery, 1);
+  guided.query.workspace = "big";
+  guided.query.query = many;
+  guided.timeout_s = 0.05;
+  std::promise<Response> delivered;
+  server.HandleAsync(guided,
+                     [&](Response resp) { delivered.set_value(std::move(resp)); });
+  Response resp = delivered.get_future().get();
+  EXPECT_EQ(resp.status.code(), util::StatusCode::kDeadlineExceeded)
+      << resp.status;
+  answers_promptly(2);
+
+  // Unguided, through the synchronous Handle a client would use.
+  Request unguided = guided;
+  unguided.id = 3;
+  unguided.query.use_guide = false;
+  Response late = server.Handle(unguided);
+  EXPECT_EQ(late.status.code(), util::StatusCode::kDeadlineExceeded)
+      << late.status;
+  answers_promptly(4);
 }
 
 TEST_F(ServiceTest, GenerationsShareOneFrozenGraph) {
