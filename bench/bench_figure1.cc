@@ -55,7 +55,7 @@ int Run() {
                     static_cast<typing::TypeId>(t)) == homes.end()) {
         continue;
       }
-      std::string name = g->Name(o);
+      std::string name(g->Name(o));
       ++votes[name.substr(0, name.rfind('_'))];
     }
     std::string best = "type";
@@ -86,7 +86,7 @@ int Run() {
                     static_cast<typing::TypeId>(t)) == homes.end()) {
         continue;
       }
-      std::string name = g->Name(o);
+      std::string name(g->Name(o));
       ++votes[name.substr(0, name.rfind('_'))];
       ++total;
     }

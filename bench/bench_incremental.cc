@@ -3,7 +3,7 @@
 // Setup per scale: generate a DBG-style database, extract once (the
 // cached run a service workspace would hold), then mutate an overlay and
 // measure
-//   cold        — SchemaExtractor::Run over the compacted mutated graph
+//   cold        — SchemaExtractor::Run over the folded mutated graph
 //   incremental — extract::ReExtract over the overlay, seeded with the
 //                 cached partition/clustering and the overlay's touched
 //                 set
@@ -44,7 +44,7 @@
 #include "extract/incremental_extract.h"
 #include "gen/dbg.h"
 #include "gen/spec.h"
-#include "graph/delta_overlay.h"
+#include "graph/data_graph.h"
 #include "graph/frozen_graph.h"
 #include "graph/graph_view.h"
 #include "typing/perfect_typing.h"
@@ -55,7 +55,7 @@
 namespace {
 
 using namespace schemex;  // NOLINT
-using graph::DeltaOverlay;
+using graph::DataGraph;
 using graph::GraphView;
 using graph::ObjectId;
 
@@ -66,7 +66,7 @@ using graph::ObjectId;
 /// a->y, b->x. Local pictures are untouched, so the Stage-1 partition
 /// of the mutated graph equals the cached one. Returns the number of
 /// swaps applied.
-size_t ApplyRewire(DeltaOverlay& ov, const typing::PerfectTypingResult& pt,
+size_t ApplyRewire(DataGraph& ov, const typing::PerfectTypingResult& pt,
                    size_t want) {
   std::vector<std::vector<ObjectId>> blocks(pt.program.NumTypes());
   for (ObjectId o = 0; o < static_cast<ObjectId>(pt.home.size()); ++o) {
@@ -117,7 +117,7 @@ size_t ApplyRewire(DeltaOverlay& ov, const typing::PerfectTypingResult& pt,
 
 /// Random structural edits: new objects wired into the graph, new edges
 /// under existing labels, deletions. ~3 ops per unit of `want`.
-void ApplyPerturb(DeltaOverlay& ov, size_t want, uint64_t seed) {
+void ApplyPerturb(DataGraph& ov, size_t want, uint64_t seed) {
   std::mt19937 rng(seed);
   auto rnd = [&](size_t n) { return static_cast<uint32_t>(rng() % n); };
   std::vector<ObjectId> complexes;
@@ -164,7 +164,7 @@ struct Measurement {
 
 /// Cold-vs-incremental over one mutated overlay. Returns false when the
 /// two results are not bit-identical.
-bool Measure(const DeltaOverlay& ov, const extract::ExtractionCache& cache,
+bool Measure(const DataGraph& ov, const extract::ExtractionCache& cache,
              const extract::ExtractorOptions& opt, Measurement* m) {
   std::vector<ObjectId> touched = ov.TouchedComplexObjects();
   m->objects = ov.NumObjects();
@@ -176,11 +176,11 @@ bool Measure(const DeltaOverlay& ov, const extract::ExtractionCache& cache,
           : static_cast<double>(touched.size()) /
                 static_cast<double>(ov.NumComplexObjects());
 
-  auto compacted = ov.Compact();
+  auto folded = graph::Freeze(ov);
   extract::IncrementalOptions inc;
 
   // Identity gate first, then best-of-3 timing.
-  auto cold = extract::SchemaExtractor(opt).Run(GraphView(*compacted));
+  auto cold = extract::SchemaExtractor(opt).Run(GraphView(*folded));
   if (!cold.ok()) {
     std::fprintf(stderr, "cold extraction failed: %s\n",
                  cold.status().ToString().c_str());
@@ -208,7 +208,7 @@ bool Measure(const DeltaOverlay& ov, const extract::ExtractionCache& cache,
   m->cold_ms = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
     util::WallTimer t;
-    auto r = extract::SchemaExtractor(opt).Run(GraphView(*compacted));
+    auto r = extract::SchemaExtractor(opt).Run(GraphView(*folded));
     if (!r.ok()) return false;
     m->cold_ms = std::min(m->cold_ms, t.ElapsedMillis());
   }
@@ -257,7 +257,7 @@ int Run(bool json, bool smoke) {
             1, static_cast<size_t>(frac * static_cast<double>(
                                               frozen->NumComplexObjects()) /
                                    4.0));
-        DeltaOverlay ov(frozen);
+        DataGraph ov(frozen);
         if (std::strcmp(delta, "rewire") == 0) {
           if (ApplyRewire(ov, cache.perfect, want) == 0) continue;
         } else {

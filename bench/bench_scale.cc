@@ -15,7 +15,7 @@
 //                  "cluster_ms":F,"recast_ms":F,"apply_delta_ms":F,
 //                  "speedup":1.000}
 //                 apply_delta_ms is the wall-clock of applying a
-//                 64-op mutation batch to a DeltaOverlay over the
+//                 64-op mutation batch to a DataGraph over the
 //                 frozen graph (best of 3) — the generation-swap cost a
 //                 service apply_delta pays before any retyping.
 //               stage1-only row (scale 500) —
@@ -72,7 +72,7 @@
 #include "extract/knee.h"
 #include "gen/dbg.h"
 #include "gen/spec.h"
-#include "graph/delta_overlay.h"
+#include "graph/data_graph.h"
 #include "graph/frozen_graph.h"
 #include "typing/bit_signature.h"
 #include "typing/defect.h"
@@ -229,7 +229,7 @@ bool BenchKneeSweeps(graph::GraphView g, int scale, size_t types,
 }
 
 /// Wall-clock of a 64-op mutation batch (adds, links, deletes) against a
-/// fresh DeltaOverlay over `frozen`, best of 3 — the pure overlay cost of
+/// fresh DataGraph over `frozen`, best of 3 — the pure overlay cost of
 /// a service apply_delta, before online typing or re-extraction.
 double BenchApplyDelta(const std::shared_ptr<const graph::FrozenGraph>& frozen) {
   std::vector<graph::ObjectId> complexes;
@@ -239,7 +239,7 @@ double BenchApplyDelta(const std::shared_ptr<const graph::FrozenGraph>& frozen) 
   if (complexes.empty()) return 0.0;
   double best = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
-    graph::DeltaOverlay ov(frozen);
+    graph::DataGraph ov(frozen);
     util::WallTimer t;
     for (size_t i = 0; i < 64; ++i) {
       switch (i % 4) {

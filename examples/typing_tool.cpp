@@ -84,7 +84,7 @@ int Eval(graph::DataGraph& g, const std::string& program_text) {
     size_t shown = 0;
     m->extents[p].ForEach([&](size_t o) {
       if (shown++ < 12) {
-        const std::string& n = g.Name(static_cast<graph::ObjectId>(o));
+        std::string n(g.Name(static_cast<graph::ObjectId>(o)));
         std::cout << " "
                   << (n.empty() ? util::StringPrintf("_o%zu", o) : n);
       }

@@ -170,12 +170,12 @@ util::Status SaveWorkspace(const Workspace& ws, const std::string& dir) {
   SCHEMEX_RETURN_IF_ERROR(ws.Validate());
   if (ws.overlay != nullptr) {
     // Fold the overlay into a self-contained snapshot before writing;
-    // the on-disk format has no notion of a delta layer. The compacted
-    // copy shares everything else with the caller's workspace.
-    Workspace compacted = ws;
-    compacted.graph = ws.overlay->Compact();
-    compacted.overlay = nullptr;
-    return SaveWorkspace(compacted, dir);
+    // the on-disk format has no notion of a delta layer. The folded copy
+    // shares everything else with the caller's workspace.
+    Workspace folded = ws;
+    folded.graph = graph::Freeze(*ws.overlay);
+    folded.overlay = nullptr;
+    return SaveWorkspace(folded, dir);
   }
   util::MutexLock lock(SaveMutex());
   std::error_code ec;

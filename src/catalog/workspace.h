@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "graph/data_graph.h"
-#include "graph/delta_overlay.h"
 #include "graph/frozen_graph.h"
 #include "graph/graph_view.h"
 #include "typing/assignment.h"
@@ -53,10 +52,10 @@ struct Workspace {
   typing::TypingProgram program;     ///< may be empty (no schema yet)
   typing::TypeAssignment assignment; ///< may be empty
 
-  /// Uncompacted mutations over `graph`, or null when the workspace is
-  /// exactly its frozen snapshot. When set, overlay->base() == graph and
-  /// every read (queries, typing, extraction) goes through View().
-  std::shared_ptr<const graph::DeltaOverlay> overlay;
+  /// Unfolded mutations layered over `graph`, or null when the workspace
+  /// is exactly its frozen snapshot. When set, overlay->base() == graph
+  /// and every read (queries, typing, extraction) goes through View().
+  std::shared_ptr<const graph::DataGraph> overlay;
 
   /// Monotone mutation counter: 0 for a freshly loaded/imported
   /// workspace, +1 per applied delta batch. Survives compaction (the
@@ -105,9 +104,9 @@ struct Workspace {
 /// different generations; LoadWorkspace's Validate() turns that into a
 /// clean error (retryable) rather than silent corruption.
 ///
-/// A workspace carrying an overlay is compacted first (overlay folded
-/// into a fresh FrozenGraph) so the files on disk always describe one
-/// self-contained graph; the caller's workspace is not modified.
+/// A workspace carrying an overlay is folded first (graph::Freeze of the
+/// overlay) so the files on disk always describe one self-contained
+/// graph; the caller's workspace is not modified.
 util::Status SaveWorkspace(const Workspace& ws, const std::string& dir);
 
 /// The assignment.tsv text SaveWorkspace writes: one

@@ -79,7 +79,7 @@ struct ReExtractStats {
 
 /// Incremental re-extraction: the cached run's pipeline re-executed over
 /// the mutated graph `g`, with Stage 1 seeded from the cached partition
-/// (dirty set = `touched`, typically DeltaOverlay::TouchedComplexObjects())
+/// (dirty set = `touched`, typically DataGraph::TouchedComplexObjects())
 /// and Stage 2 skipped when its inputs are unchanged. `k` = 0 reuses the
 /// cached k; `check_cancel` is the run's cancellation hook. The result
 /// is bit-identical to SchemaExtractor::Run over `g` with the cache's

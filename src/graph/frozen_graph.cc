@@ -4,6 +4,8 @@
 #include <atomic>
 #include <utility>
 
+#include "graph/data_graph.h"
+#include "graph/graph_view.h"
 #include "util/string_util.h"
 
 namespace schemex::graph {
@@ -186,23 +188,6 @@ bool FrozenGraph::HasEdge(ObjectId from, ObjectId to, LabelId label) const {
   return std::binary_search(row.begin(), row.end(), HalfEdge{label, to});
 }
 
-bool FrozenGraph::HasEdgeToAtomic(ObjectId o, LabelId label) const {
-  auto row = OutEdges(o);
-  auto it = std::lower_bound(row.begin(), row.end(),
-                             HalfEdge{label, static_cast<ObjectId>(0)});
-  for (; it != row.end() && it->label == label; ++it) {
-    if (IsAtomic(it->other)) return true;
-  }
-  return false;
-}
-
-bool FrozenGraph::IsBipartite() const {
-  for (const HalfEdge& e : out_edges_) {
-    if (!IsAtomic(e.other)) return false;
-  }
-  return true;
-}
-
 util::Status FrozenGraph::Validate() const {
   const size_t n = num_objects_;
   if (out_off_.size() != n + 1 || in_off_.size() != n + 1 ||
@@ -216,9 +201,6 @@ util::Status FrozenGraph::Validate() const {
       text_off_[2 * n] != arena_.size()) {
     return util::Status::Internal("offset terminator out of sync");
   }
-  if (out_edges_.size() != num_edges_) {
-    return util::Status::Internal("edge count out of sync");
-  }
   for (size_t i = 0; i < out_off_.size() - 1; ++i) {
     if (out_off_[i] > out_off_[i + 1] || in_off_[i] > in_off_[i + 1]) {
       return util::Status::Internal("CSR offsets not monotone");
@@ -229,38 +211,7 @@ util::Status FrozenGraph::Validate() const {
       return util::Status::Internal("arena offsets not monotone");
     }
   }
-  auto contains = [](std::span<const HalfEdge> row, HalfEdge e) {
-    return std::binary_search(row.begin(), row.end(), e);
-  };
-  for (ObjectId o = 0; o < n; ++o) {
-    auto out = OutEdges(o);
-    auto in = InEdges(o);
-    if (IsAtomic(o) && !out.empty()) {
-      return util::Status::Internal(
-          util::StringPrintf("atomic object %u has outgoing edges", o));
-    }
-    if (!std::is_sorted(out.begin(), out.end()) ||
-        !std::is_sorted(in.begin(), in.end())) {
-      return util::Status::Internal(
-          util::StringPrintf("adjacency of object %u not sorted", o));
-    }
-    for (const HalfEdge& e : out) {
-      if (e.other >= n || e.label >= labels_.size()) {
-        return util::Status::Internal("dangling edge endpoint or label");
-      }
-      if (!contains(InEdges(e.other), HalfEdge{e.label, o})) {
-        return util::Status::Internal(util::StringPrintf(
-            "edge (%u,%u) missing from incoming index", o, e.other));
-      }
-    }
-    for (const HalfEdge& e : in) {
-      if (e.other >= n || !contains(OutEdges(e.other), HalfEdge{e.label, o})) {
-        return util::Status::Internal(util::StringPrintf(
-            "incoming edge of %u has no outgoing counterpart", o));
-      }
-    }
-  }
-  return util::Status::OK();
+  return ValidateAdjacency(*this);
 }
 
 size_t FrozenGraph::MemoryUsage() const {

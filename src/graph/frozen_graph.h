@@ -8,14 +8,33 @@
 #include <string_view>
 #include <vector>
 
-#include "graph/data_graph.h"
 #include "graph/label.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
 namespace schemex::graph {
 
-/// An immutable, cache-friendly snapshot of a DataGraph.
+/// Dense integer id of an object (node). Complex and atomic objects share
+/// one id space.
+using ObjectId = uint32_t;
+
+inline constexpr ObjectId kInvalidObject = static_cast<ObjectId>(-1);
+
+/// One labeled, directed half-edge as seen from some object: the label plus
+/// the object at the other end.
+struct HalfEdge {
+  LabelId label;
+  ObjectId other;
+
+  friend bool operator==(const HalfEdge&, const HalfEdge&) = default;
+  friend auto operator<=>(const HalfEdge&, const HalfEdge&) = default;
+};
+
+class DataGraph;
+
+/// An immutable, cache-friendly snapshot of a graph: the CSR form every
+/// DataGraph folds into with Freeze(), and the base a DataGraph layers
+/// its mutations over.
 ///
 /// Layout: both adjacency directions are CSR (one offset array plus one
 /// flat HalfEdge array each), so an algorithm that scans objects in id
@@ -27,7 +46,9 @@ namespace schemex::graph {
 ///
 /// Every array is accessed through a read-only view that points into one
 /// of two kinds of backing storage, held alive by `backing_`:
-///  * heap arrays built by the DataGraph constructor (Freeze()), or
+///  * heap arrays built by the DataGraph constructor (Freeze()), whether
+///    the DataGraph was built from nothing or layered over another
+///    snapshot, or
 ///  * an mmap-ed snapshot file (snapshot::Map()), where the on-disk
 ///    layout *is* the CSR and nothing is copied at load time.
 /// The read API is identical either way; algorithms cannot tell (and do
@@ -38,13 +59,15 @@ namespace schemex::graph {
 /// carries a process-unique id() so sharing is observable — two
 /// workspace generations holding the same graph report the same id.
 ///
-/// The read API mirrors DataGraph's, with string_view in place of
-/// const string&; GraphView (graph/graph_view.h) abstracts over both.
+/// The read API is DataGraph's; GraphView (graph/graph_view.h) abstracts
+/// over both.
 class FrozenGraph {
  public:
   FrozenGraph() = default;
 
-  /// Builds the snapshot. O(objects + edges + value bytes).
+  /// Builds the snapshot by reading `g` object by object. O(objects +
+  /// edges + value bytes); a layered `g` answers untouched base objects
+  /// from its base's CSR slices.
   explicit FrozenGraph(const DataGraph& g);
 
   // Immutable snapshots are shared, not copied.
@@ -90,14 +113,9 @@ class FrozenGraph {
   /// True iff the exact edge exists (binary search in the CSR row).
   bool HasEdge(ObjectId from, ObjectId to, LabelId label) const;
 
-  /// True iff `o` has some outgoing `label` edge to an atomic object.
-  bool HasEdgeToAtomic(ObjectId o, LabelId label) const;
-
-  /// True iff every edge goes from a complex object to an atomic object.
-  bool IsBipartite() const;
-
-  /// Checks the representation invariants: offset monotonicity, adjacency
-  /// symmetry between the two CSR halves, sortedness, atomic-sink rule.
+  /// Checks the CSR layout (array sizes, offset monotonicity and
+  /// terminators), then the adjacency invariants every graph shares
+  /// (ValidateAdjacency in graph/graph_view.h).
   util::Status Validate() const;
 
   /// Heap bytes held by this snapshot (CSR arrays + arena + label table).
@@ -106,7 +124,7 @@ class FrozenGraph {
   size_t MemoryUsage() const;
 
   /// Bytes of this graph backed by a mapped snapshot file (0 for graphs
-  /// frozen from a DataGraph).
+  /// frozen with Freeze()).
   size_t MappedBytes() const { return mapped_bytes_; }
 
   /// Process-unique identity token, assigned at construction and never
@@ -162,7 +180,7 @@ class FrozenGraph {
     return arena_.substr(text_off_[slot], text_off_[slot + 1] - text_off_[slot]);
   }
 
-  /// Heap arrays backing a graph frozen from a DataGraph.
+  /// Heap arrays backing a graph built by Freeze().
   struct OwnedArrays;
 
   LabelInterner labels_;
@@ -188,7 +206,9 @@ class FrozenGraph {
   uint64_t id_ = 0;
 };
 
-/// Freezes `g` into a shareable immutable snapshot.
+/// Folds `g` (built from nothing, or a base plus its delta) into a
+/// shareable immutable snapshot. The only fold: a snapshot's bytes
+/// depend only on what `g` reads, not on how `g` came to hold it.
 std::shared_ptr<const FrozenGraph> Freeze(const DataGraph& g);
 
 }  // namespace schemex::graph

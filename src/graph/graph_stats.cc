@@ -13,7 +13,7 @@ GraphStats ComputeStats(GraphView g) {
   s.num_atomic = g.NumAtomicObjects();
   s.num_edges = g.NumEdges();
   s.num_labels = g.labels().size();
-  s.bipartite = g.IsBipartite();
+  s.bipartite = IsBipartite(g);
   s.label_histogram.assign(s.num_labels, 0);
   for (ObjectId o = 0; o < g.NumObjects(); ++o) {
     auto out = g.OutEdges(o);

@@ -9,8 +9,11 @@
 
 namespace schemex::graph {
 
-/// Dense integer id of an edge label. Labels are interned per-DataGraph so
-/// that all algorithms compare labels as integers.
+/// Dense integer id of an edge label. Labels are interned per graph so
+/// that all algorithms compare labels as integers. Freeze() copies a
+/// DataGraph's table into its FrozenGraph, and a DataGraph layered over
+/// that snapshot starts from a copy of it, so ids carry over unchanged
+/// and fresh labels extend the table.
 using LabelId = uint32_t;
 
 /// Sentinel for "no such label".

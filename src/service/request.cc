@@ -35,6 +35,7 @@ class Fields {
         v->AsNumber() != std::floor(v->AsNumber())) {
       return WrongType(key, "non-negative integer");
     }
+    SCHEMEX_RETURN_IF_ERROR(CheckExact(key, v->AsNumber()));
     *out = static_cast<uint64_t>(v->AsNumber());
     return util::Status::OK();
   }
@@ -46,6 +47,7 @@ class Fields {
         v->AsNumber() != std::floor(v->AsNumber())) {
       return WrongType(key, "integer");
     }
+    SCHEMEX_RETURN_IF_ERROR(CheckExact(key, v->AsNumber()));
     *out = static_cast<int64_t>(v->AsNumber());
     return util::Status::OK();
   }
@@ -78,6 +80,14 @@ class Fields {
   static util::Status WrongType(const std::string& key, const char* want) {
     return util::Status::InvalidArgument("field \"" + key + "\" must be a " +
                                          want);
+  }
+  /// Past 2^53 a JSON number (a double) no longer holds the integer the
+  /// client wrote, and casting one past 2^63 is undefined.
+  static util::Status CheckExact(const std::string& key, double x) {
+    constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+    if (std::fabs(x) <= kMaxExact) return util::Status::OK();
+    return util::Status::InvalidArgument("field \"" + key +
+                                         "\" exceeds 2^53 in magnitude");
   }
 
   const std::map<std::string, Value>& obj_;

@@ -100,14 +100,16 @@ struct DeltaOp {
   std::string label;
 };
 
-/// apply_delta: mutate a cached workspace through a DeltaOverlay (created
-/// on first use, extended thereafter), online-typing new complex objects
-/// against the current program. The frozen snapshot is never touched.
+/// apply_delta: mutate a cached workspace through a DataGraph layered over
+/// its frozen snapshot (created on first use, extended thereafter),
+/// online-typing new complex objects against the current program. The
+/// frozen snapshot is never touched.
 struct ApplyDeltaParams {
   std::string workspace;
   std::vector<DeltaOp> ops;
-  /// Fold the overlay into a fresh FrozenGraph after applying the batch
-  /// (bounds overlay growth; costs a full graph rebuild).
+  /// Fold the overlay into a fresh FrozenGraph (graph::Freeze) after
+  /// applying the batch; bounds overlay growth at the cost of one pass
+  /// over the graph.
   bool compact = false;
 };
 

@@ -12,7 +12,7 @@
 #include "extract/extractor.h"
 #include "extract/incremental_extract.h"
 #include "extract/knee.h"
-#include "graph/delta_overlay.h"
+#include "graph/data_graph.h"
 #include "query/path_query.h"
 #include "query/query_index.h"
 #include "snapshot/mapped_file.h"
@@ -147,11 +147,26 @@ void AddExtractionFields(const extract::ExtractionResult& result,
                   /*timeout=*/false);
 }
 
-/// Turns an absolute deadline into a cooperative-cancellation hook for
-/// the extract pipeline or the query step loop (`what` names it in the
-/// error); kMax disables polling entirely.
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 
+/// The instant a request that started at `start` with a budget of
+/// `timeout_s` seconds must be answered by. No budget (0) and a budget
+/// too long for the nanosecond steady clock to represent past `start`
+/// both mean kNoDeadline; the one-second margin absorbs the rounding of
+/// double seconds to nanoseconds.
+std::chrono::steady_clock::time_point DeadlineAfter(
+    std::chrono::steady_clock::time_point start, double timeout_s) {
+  const double headroom_s =
+      std::chrono::duration<double>(kNoDeadline - start).count() - 1.0;
+  if (timeout_s <= 0 || timeout_s >= headroom_s) return kNoDeadline;
+  return start +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double>(timeout_s));
+}
+
+/// Turns an absolute deadline into a cooperative-cancellation hook for
+/// the extract pipeline or the query step loop (`what` names it in the
+/// error); kNoDeadline disables polling entirely.
 std::function<util::Status()> DeadlineHook(
     std::chrono::steady_clock::time_point deadline, const char* what) {
   if (deadline == kNoDeadline) return nullptr;
@@ -198,11 +213,7 @@ Response Server::Execute(const Request& req, Clock::time_point arrival,
         "request spent %.3fs queued, budget %.3fs", queued_s, timeout_s));
     return resp;
   }
-  const Clock::time_point deadline =
-      timeout_s > 0 ? arrival + std::chrono::duration_cast<Clock::duration>(
-                                    std::chrono::duration<double>(timeout_s))
-                    : Clock::time_point::max();
-  auto result = Dispatch(req, deadline);
+  auto result = Dispatch(req, DeadlineAfter(arrival, timeout_s));
   if (result.ok()) {
     resp.result = *std::move(result);
   } else {
@@ -255,9 +266,9 @@ Response Server::Handle(const Request& req) {
     }
   });
 
-  if (timeout_s > 0) {
-    if (future.wait_for(std::chrono::duration<double>(timeout_s)) ==
-        std::future_status::timeout) {
+  const Clock::time_point deadline = DeadlineAfter(arrival, timeout_s);
+  if (deadline != kNoDeadline) {
+    if (future.wait_until(deadline) == std::future_status::timeout) {
       bool expected = false;
       if (state->delivered.compare_exchange_strong(expected, true)) {
         Response resp;
@@ -659,17 +670,14 @@ util::StatusOr<json::Value> Server::HandleApplyDelta(const ApplyDeltaParams& p) 
   // snapshot): the cached workspace stays untouched until the final swap,
   // so an op failing mid-batch leaves no trace.
   auto overlay = snapshot->overlay
-                     ? std::make_shared<graph::DeltaOverlay>(*snapshot->overlay)
-                     : std::make_shared<graph::DeltaOverlay>(snapshot->graph);
+                     ? std::make_shared<graph::DataGraph>(*snapshot->overlay)
+                     : std::make_shared<graph::DataGraph>(snapshot->graph);
 
   std::vector<graph::ObjectId> new_ids;
   std::vector<graph::ObjectId> batch_touched;
   size_t objects_added = 0, links_added = 0, links_deleted = 0;
-  auto touch = [&](uint64_t id) {
-    if (id < overlay->NumObjects() &&
-        overlay->IsComplex(static_cast<graph::ObjectId>(id))) {
-      batch_touched.push_back(static_cast<graph::ObjectId>(id));
-    }
+  auto touch = [&](graph::ObjectId id) {
+    if (overlay->IsComplex(id)) batch_touched.push_back(id);
   };
   for (size_t i = 0; i < p.ops.size(); ++i) {
     const DeltaOp& op = p.ops[i];
@@ -681,27 +689,30 @@ util::StatusOr<json::Value> Server::HandleApplyDelta(const ApplyDeltaParams& p) 
       new_ids.push_back(id);
       ++objects_added;
       if (op.kind != "atomic") batch_touched.push_back(id);
-    } else if (op.op == "add_link") {
-      s = overlay->AddEdge(static_cast<graph::ObjectId>(op.from),
-                           static_cast<graph::ObjectId>(op.to),
-                           std::string_view(op.label));
-      if (s.ok()) {
-        ++links_added;
-        touch(op.from);
-        touch(op.to);
+    } else if (op.from >= overlay->NumObjects() ||
+               op.to >= overlay->NumObjects()) {
+      // Range-check the request's 64-bit ids before narrowing them to
+      // ObjectId, so 2^32 cannot wrap around to object 0.
+      s = util::Status::InvalidArgument(util::StringPrintf(
+          "object id out of range (from=%llu, to=%llu, n=%zu)",
+          static_cast<unsigned long long>(op.from),
+          static_cast<unsigned long long>(op.to), overlay->NumObjects()));
+    } else {
+      const auto from = static_cast<graph::ObjectId>(op.from);
+      const auto to = static_cast<graph::ObjectId>(op.to);
+      if (op.op == "add_link") {
+        s = overlay->AddEdge(from, to, std::string_view(op.label));
+        if (s.ok()) ++links_added;
+      } else {  // del_link (parse guarantees the op set)
+        graph::LabelId label = overlay->labels().Find(op.label);
+        s = label == graph::kInvalidLabel
+                ? util::Status::NotFound("unknown label \"" + op.label + "\"")
+                : overlay->RemoveEdge(from, to, label);
+        if (s.ok()) ++links_deleted;
       }
-    } else {  // del_link (parse guarantees the op set)
-      graph::LabelId label = overlay->labels().Find(op.label);
-      if (label == graph::kInvalidLabel) {
-        s = util::Status::NotFound("unknown label \"" + op.label + "\"");
-      } else {
-        s = overlay->RemoveEdge(static_cast<graph::ObjectId>(op.from),
-                                static_cast<graph::ObjectId>(op.to), label);
-      }
       if (s.ok()) {
-        ++links_deleted;
-        touch(op.from);
-        touch(op.to);
+        touch(from);
+        touch(to);
       }
     }
     if (!s.ok()) {
@@ -733,7 +744,7 @@ util::StatusOr<json::Value> Server::HandleApplyDelta(const ApplyDeltaParams& p) 
   next.assignment = std::move(tau);
   next.generation = snapshot->generation + 1;
   if (p.compact) {
-    next.graph = overlay->Compact();
+    next.graph = graph::Freeze(*overlay);
     next.overlay = nullptr;
   } else {
     next.overlay = overlay;

@@ -35,7 +35,7 @@ struct ArrivalTyping {
 /// current typing program."
 ///
 /// `g` is the graph with the arrivals already added (typically a
-/// DeltaOverlay over the extracted snapshot) and `tau` the assignment
+/// DataGraph layered over the extracted snapshot) and `tau` the assignment
 /// from before they arrived; it is resized to g.NumObjects() and gains
 /// each arrival's types. Complex arrivals are typed in the given order
 /// (atomic ones are skipped), each judged against the assignment as it

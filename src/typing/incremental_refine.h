@@ -49,7 +49,7 @@ struct IncrementalRefineStats {
 ///
 /// `touched` seeds the dirty set: every complex object whose local
 /// picture may differ from the old graph's (delta endpoints plus newly
-/// added complex objects; graph::DeltaOverlay::TouchedComplexObjects()
+/// added complex objects; graph::DataGraph::TouchedComplexObjects()
 /// produces exactly this). Objects beyond previous.home.size() are
 /// treated as new and always start dirty, so appended objects need not
 /// appear in `touched`. Old objects must keep their ids and kinds;

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "graph/merge.h"
 #include "graph/subgraph.h"
 #include "tests/test_util.h"
 #include "typing/explain.h"
@@ -121,46 +120,6 @@ TEST(SubgraphTest, FullKeepIsIsomorphic) {
   EXPECT_EQ(sub.NumObjects(), g.NumObjects());
   EXPECT_EQ(sub.NumEdges(), g.NumEdges());
   ASSERT_OK(sub.Validate());
-}
-
-TEST(MergeTest, DisjointUnionUnifiesLabels) {
-  graph::DataGraph a = test::MakeFigure2Database();
-  graph::DataGraph b = test::MakeFigure4Database();
-  std::vector<graph::ObjectId> remap;
-  graph::DataGraph m = graph::MergeGraphs(a, b, &remap);
-  ASSERT_OK(m.Validate());
-  EXPECT_EQ(m.NumObjects(), a.NumObjects() + b.NumObjects());
-  EXPECT_EQ(m.NumEdges(), a.NumEdges() + b.NumEdges());
-  // a's ids unchanged; b's ids shifted.
-  EXPECT_EQ(m.Name(0), a.Name(0));
-  for (graph::ObjectId o = 0; o < b.NumObjects(); ++o) {
-    EXPECT_EQ(m.Name(remap[o]), b.Name(o));
-    EXPECT_EQ(m.IsAtomic(remap[o]), b.IsAtomic(o));
-  }
-  // Shared label names unified, distinct ones added.
-  EXPECT_LE(m.labels().size(), a.labels().size() + b.labels().size());
-  EXPECT_NE(m.labels().Find("name"), graph::kInvalidLabel);
-  EXPECT_NE(m.labels().Find("a"), graph::kInvalidLabel);
-}
-
-TEST(MergeTest, MergeWithEmpty) {
-  graph::DataGraph a = test::MakeFigure2Database();
-  graph::DataGraph empty;
-  graph::DataGraph m = graph::MergeGraphs(a, empty);
-  EXPECT_EQ(m.NumObjects(), a.NumObjects());
-  graph::DataGraph m2 = graph::MergeGraphs(empty, a);
-  EXPECT_EQ(m2.NumEdges(), a.NumEdges());
-}
-
-TEST(MergeTest, ExtractionSeesBothSources) {
-  // Two copies of the same regular data: the merged graph still has the
-  // same perfect typing (types unify across sources).
-  graph::DataGraph a = test::MakeFigure2Database();
-  graph::DataGraph m = graph::MergeGraphs(a, a);
-  ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaGfp(m));
-  EXPECT_EQ(stage1.program.NumTypes(), 2u);
-  EXPECT_EQ(stage1.weight[0] + stage1.weight[1], 8u);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ void ExpectAgrees(const DataGraph& g, const FrozenGraph& f) {
   EXPECT_EQ(f.NumComplexObjects(), g.NumComplexObjects());
   EXPECT_EQ(f.NumAtomicObjects(), g.NumAtomicObjects());
   EXPECT_EQ(f.NumEdges(), g.NumEdges());
-  EXPECT_EQ(f.IsBipartite(), g.IsBipartite());
+  EXPECT_EQ(IsBipartite(f), IsBipartite(g));
 
   ASSERT_EQ(f.labels().size(), g.labels().size());
   for (LabelId l = 0; l < g.labels().size(); ++l) {
@@ -50,7 +50,7 @@ void ExpectAgrees(const DataGraph& g, const FrozenGraph& f) {
       EXPECT_TRUE(f.HasEdge(o, e.other, e.label));
     }
     for (LabelId l = 0; l < g.labels().size(); ++l) {
-      EXPECT_EQ(f.HasEdgeToAtomic(o, l), g.HasEdgeToAtomic(o, l))
+      EXPECT_EQ(HasEdgeToAtomic(f, o, l), HasEdgeToAtomic(g, o, l))
           << "object " << o << " label " << l;
     }
   }
@@ -124,7 +124,7 @@ TEST(FrozenGraphTest, EmptyGraph) {
   ASSERT_OK(f->Validate());
   EXPECT_EQ(f->NumObjects(), 0u);
   EXPECT_EQ(f->NumEdges(), 0u);
-  EXPECT_TRUE(f->IsBipartite());
+  EXPECT_TRUE(IsBipartite(*f));
   EXPECT_GE(f->MemoryUsage(), 0u);
 }
 

@@ -169,7 +169,7 @@ TEST(Table1Test, AllEightEntriesGenerate) {
     // Bipartite column matches the generated graph (perturbation may add
     // complex-complex noise, so only check unperturbed entries).
     if (!e.perturbed) {
-      EXPECT_EQ(g.IsBipartite(), e.spec.IsBipartite()) << e.db_name;
+      EXPECT_EQ(graph::IsBipartite(g), e.spec.IsBipartite()) << e.db_name;
     }
     EXPECT_EQ(e.spec.HasOverlap(),
               e.db_name == "DB3" || e.db_name == "DB4" ||
@@ -231,7 +231,7 @@ TEST(RandomGraphTest, AtomicFractionExtremes) {
   opt.atomic_target_fraction = 1.0;
   opt.seed = 2;
   graph::DataGraph g = RandomGraph(opt);
-  EXPECT_TRUE(g.IsBipartite());
+  EXPECT_TRUE(graph::IsBipartite(g));
 
   opt.atomic_target_fraction = 0.0;
   graph::DataGraph g2 = RandomGraph(opt);

@@ -36,7 +36,7 @@ TEST(DataGraphTest, AddObjectsAndEdges) {
   EXPECT_EQ(g.NumAtomicObjects(), 1u);
   LabelId val = g.labels().Find("val");
   EXPECT_TRUE(g.HasEdge(c, a, val));
-  EXPECT_TRUE(g.HasEdgeToAtomic(c, val));
+  EXPECT_TRUE(HasEdgeToAtomic(g, c, val));
   ASSERT_OK(g.Validate());
 }
 
@@ -98,10 +98,10 @@ TEST(DataGraphTest, BipartiteDetection) {
   DataGraph flat;
   ObjectId c = flat.AddComplex();
   ASSERT_OK(flat.AddEdge(c, flat.AddAtomic("v"), "x"));
-  EXPECT_TRUE(flat.IsBipartite());
+  EXPECT_TRUE(IsBipartite(flat));
 
   DataGraph deep = test::MakeFigure2Database();
-  EXPECT_FALSE(deep.IsBipartite());
+  EXPECT_FALSE(IsBipartite(deep));
 }
 
 TEST(GraphBuilderTest, ImplicitComplexCreation) {

@@ -2,7 +2,7 @@
 // over a mutated graph must be *bit-identical* — same program, block
 // names, homes, weights — to a cold refinement of the mutated graph, at
 // every thread count, whether the incremental path propagates or falls
-// back, and over both the overlay and its compacted form.
+// back, and over both the overlay and its folded form (Freeze).
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "gen/dbg.h"
 #include "graph/data_graph.h"
-#include "graph/delta_overlay.h"
 #include "graph/frozen_graph.h"
 #include "graph/graph_view.h"
 #include "tests/refinement_oracle.h"
@@ -24,7 +23,6 @@ namespace schemex::typing {
 namespace {
 
 using graph::DataGraph;
-using graph::DeltaOverlay;
 using graph::GraphView;
 using graph::ObjectId;
 
@@ -44,7 +42,7 @@ PerfectTypingResult Cold(GraphView g) {
 }
 
 /// Applies `mutate` to a fresh overlay over the seed-`seed` DBG graph
-/// and checks incremental == cold on overlay and compacted forms.
+/// and checks incremental == cold on overlay and folded forms.
 template <typename Mutator>
 void CheckDelta(uint64_t seed, Mutator mutate,
                 const IncrementalRefineOptions& base_opts = {},
@@ -53,21 +51,21 @@ void CheckDelta(uint64_t seed, Mutator mutate,
   auto frozen = Freeze(base);
   PerfectTypingResult previous = Cold(GraphView(*frozen));
 
-  DeltaOverlay ov(frozen);
+  DataGraph ov(frozen);
   mutate(ov);
   ASSERT_OK(ov.Validate());
   std::vector<ObjectId> touched = ov.TouchedComplexObjects();
 
   PerfectTypingResult cold = Cold(GraphView(ov));
-  auto compacted = ov.Compact();
+  auto folded = Freeze(ov);
 
-  for (bool use_compacted : {false, true}) {
-    GraphView g = use_compacted ? GraphView(*compacted) : GraphView(ov);
+  for (bool use_folded : {false, true}) {
+    GraphView g = use_folded ? GraphView(*folded) : GraphView(ov);
     IncrementalRefineStats stats;
     auto inc = IncrementalRefine(g, previous, touched, base_opts, &stats);
     ASSERT_TRUE(inc.ok()) << inc.status().ToString();
     std::string what = "seed " + std::to_string(seed) +
-                       (use_compacted ? ", compacted" : ", overlay");
+                       (use_folded ? ", folded" : ", overlay");
     ExpectSameTyping(cold, *inc, what.c_str());
     if (expect_fallback) {
       EXPECT_TRUE(stats.fell_back) << what;
@@ -78,7 +76,7 @@ void CheckDelta(uint64_t seed, Mutator mutate,
 
 /// Random mixed delta: new objects, new edges (existing + fresh labels),
 /// deletions. Exercises splits, merges, and nursery typing together.
-void RandomDelta(DeltaOverlay& ov, uint64_t rng_seed, int ops) {
+void RandomDelta(DataGraph& ov, uint64_t rng_seed, int ops) {
   std::mt19937 rng(rng_seed);
   auto rnd = [&](size_t n) { return static_cast<uint32_t>(rng() % n); };
   std::vector<ObjectId> complexes;
@@ -111,12 +109,12 @@ void RandomDelta(DeltaOverlay& ov, uint64_t rng_seed, int ops) {
 }
 
 TEST(IncrementalRefineTest, EmptyDeltaIsIdentity) {
-  CheckDelta(3, [](DeltaOverlay&) {});
+  CheckDelta(3, [](DataGraph&) {});
 }
 
 TEST(IncrementalRefineTest, RandomDeltasAcrossSeeds) {
   for (uint64_t seed : {3u, 7u, 11u}) {
-    CheckDelta(seed, [&](DeltaOverlay& ov) {
+    CheckDelta(seed, [&](DataGraph& ov) {
       RandomDelta(ov, seed * 131 + 17, 30);
     });
   }
@@ -126,7 +124,7 @@ TEST(IncrementalRefineTest, DeletionMergesBlocks) {
   // Deleting the distinguishing edges of objects in a split-off block
   // must merge it back — the quotient-coarsening pass, not plain
   // refinement, recovers this.
-  CheckDelta(5, [](DeltaOverlay& ov) {
+  CheckDelta(5, [](DataGraph& ov) {
     // Find a complex object with >= 2 out edges and strip one label's
     // edges so its picture collapses toward a sibling's.
     for (ObjectId o = 0; o < ov.NumObjects(); ++o) {
@@ -143,7 +141,7 @@ TEST(IncrementalRefineTest, MutuallyReferentialFreshObjects) {
   // A cycle of fresh objects referencing each other: every one starts
   // in the nursery and their signatures chase each other's block ids —
   // the round cap plus coarsening must still land on the cold result.
-  CheckDelta(3, [](DeltaOverlay& ov) {
+  CheckDelta(3, [](DataGraph& ov) {
     ObjectId a = ov.AddComplex("a");
     ObjectId b = ov.AddComplex("b");
     ObjectId c = ov.AddComplex("c");
@@ -161,7 +159,7 @@ TEST(IncrementalRefineTest, FallbackPinnedByZeroDirtyBudget) {
   opts.max_dirty_fraction = 0.0;
   CheckDelta(
       7,
-      [](DeltaOverlay& ov) { RandomDelta(ov, 99, 20); },
+      [](DataGraph& ov) { RandomDelta(ov, 99, 20); },
       opts, /*expect_fallback=*/true);
 }
 
@@ -170,7 +168,7 @@ TEST(IncrementalRefineTest, ForcedHashCollisions) {
   // equality path; results must not change.
   IncrementalRefineOptions opts;
   opts.exec.debug_force_hash_collisions = true;
-  CheckDelta(11, [](DeltaOverlay& ov) { RandomDelta(ov, 5, 25); }, opts);
+  CheckDelta(11, [](DataGraph& ov) { RandomDelta(ov, 5, 25); }, opts);
 }
 
 TEST(IncrementalRefineTest, SequentialReferenceAgreesOnMutatedGraph) {
@@ -180,7 +178,7 @@ TEST(IncrementalRefineTest, SequentialReferenceAgreesOnMutatedGraph) {
   ASSERT_OK_AND_ASSIGN(DataGraph base, gen::MakeDbgDataset(3));
   auto frozen = Freeze(base);
   PerfectTypingResult previous = Cold(GraphView(*frozen));
-  DeltaOverlay ov(frozen);
+  DataGraph ov(frozen);
   RandomDelta(ov, 42, 20);
   auto inc =
       IncrementalRefine(GraphView(ov), previous, ov.TouchedComplexObjects());

@@ -1,4 +1,4 @@
-// §6 online typing of arrivals (TypeArrivals) over a DeltaOverlay: the
+// §6 online typing of arrivals (TypeArrivals) over a DataGraph: the
 // same path the service's apply_delta verb takes.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,7 @@
 
 #include "extract/extractor.h"
 #include "gen/dbg.h"
-#include "graph/delta_overlay.h"
+#include "graph/data_graph.h"
 #include "graph/frozen_graph.h"
 #include "tests/test_util.h"
 #include "typing/incremental.h"
@@ -18,7 +18,7 @@
 namespace schemex::typing {
 namespace {
 
-using graph::DeltaOverlay;
+using graph::DataGraph;
 using graph::ObjectId;
 
 /// A record arriving after extraction: atomic fields (label -> value)
@@ -29,7 +29,7 @@ struct Record {
 };
 
 /// Adds `rec` to `ov` as a new complex object and returns its id.
-ObjectId AddRecord(DeltaOverlay& ov, const Record& rec) {
+ObjectId AddRecord(DataGraph& ov, const Record& rec) {
   ObjectId id = ov.AddComplex();
   for (const auto& [label, value] : rec.fields) {
     EXPECT_OK(ov.AddEdge(id, ov.AddAtomic(value), label));
@@ -41,7 +41,7 @@ ObjectId AddRecord(DeltaOverlay& ov, const Record& rec) {
 }
 
 /// Types one arrival and returns what happened to it.
-ArrivalTyping TypeOne(const TypingProgram& program, const DeltaOverlay& ov,
+ArrivalTyping TypeOne(const TypingProgram& program, const DataGraph& ov,
                       ObjectId id, TypeAssignment* tau) {
   auto typed = TypeArrivals(program, ov, std::vector<ObjectId>{id}, tau);
   EXPECT_TRUE(typed.ok()) << typed.status().ToString();
@@ -67,12 +67,12 @@ class IncrementalFixture : public ::testing::Test {
                                     TypedLink::OutAtomic(labels.Find("email"))}));
     tau_ = TypeAssignment(base.NumObjects());
     tau_.Assign(0, 0);
-    overlay_ = std::make_unique<DeltaOverlay>(graph::Freeze(base));
+    overlay_ = std::make_unique<DataGraph>(graph::Freeze(base));
   }
 
   TypingProgram program_;
   TypeAssignment tau_;
-  std::unique_ptr<DeltaOverlay> overlay_;
+  std::unique_ptr<DataGraph> overlay_;
 };
 
 TEST_F(IncrementalFixture, ExactFitAssignedDirectly) {
@@ -147,7 +147,7 @@ TEST(IncrementalTest, ChainedArrivalsSeeEachOther) {
       "boss", TypeSignature::FromLinks({TypedLink::OutAtomic(name)}));
   TypeId worker = p.AddType(
       "worker", TypeSignature::FromLinks({TypedLink::Out(leader, boss)}));
-  DeltaOverlay ov(graph::Freeze(g));
+  DataGraph ov(graph::Freeze(g));
   ObjectId b = AddRecord(ov, {{{"name", "B"}}, {}});
   ObjectId w = AddRecord(ov, {{}, {{"leader", b}}});
   ObjectId atom = ov.AddAtomic("loose");
@@ -180,7 +180,7 @@ TEST(IncrementalTest, EndToEndWithExtractor) {
     }
   }
   ASSERT_NE(person, graph::kInvalidObject);
-  DeltaOverlay ov(graph::Freeze(*g));
+  DataGraph ov(graph::Freeze(*g));
   ObjectId pub = AddRecord(ov, {{{"name", "Extracting Schema"},
                                  {"conference", "SIGMOD"},
                                  {"postscript", "p.ps"}},

@@ -7,7 +7,7 @@
 #include "extract/extractor.h"
 #include "extract/knee.h"
 #include "gen/dbg.h"
-#include "graph/delta_overlay.h"
+#include "graph/data_graph.h"
 #include "graph/frozen_graph.h"
 #include "json/import.h"
 #include "query/schema_guide.h"
@@ -90,7 +90,7 @@ TEST(IntegrationTest, SaveReloadThenTypeNewArrivals) {
   ASSERT_OK_AND_ASSIGN(typing::RecastResult recast,
                        typing::Recast(loaded, *g2, no_homes));
 
-  graph::DeltaOverlay ov(graph::Freeze(*g2));
+  graph::DataGraph ov(graph::Freeze(*g2));
   graph::ObjectId degree = ov.AddComplex("new_degree");
   const std::pair<const char*, const char*> fields[] = {{"major", "CS"},
                                                         {"school", "Stanford"},

@@ -64,7 +64,7 @@ TEST(ImportTest, FlatObject) {
   EXPECT_EQ(g.NumComplexObjects(), 1u);
   EXPECT_EQ(g.NumAtomicObjects(), 2u);
   EXPECT_EQ(g.NumEdges(), 2u);
-  EXPECT_TRUE(g.IsBipartite());
+  EXPECT_TRUE(graph::IsBipartite(g));
   graph::LabelId name = g.labels().Find("name");
   ASSERT_NE(name, graph::kInvalidLabel);
   // The root's name edge leads to the atomic "Ada".
@@ -83,7 +83,7 @@ TEST(ImportTest, NestedObjectsBecomeComplexNodes) {
       graph::DataGraph g,
       ImportJson(R"({"person": {"name": "Ada"}, "tag": "x"})"));
   EXPECT_EQ(g.NumComplexObjects(), 2u);
-  EXPECT_FALSE(g.IsBipartite());
+  EXPECT_FALSE(graph::IsBipartite(g));
   ASSERT_OK(g.Validate());
 }
 

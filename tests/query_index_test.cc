@@ -11,7 +11,7 @@
 #include "catalog/workspace.h"
 #include "extract/extractor.h"
 #include "gen/dbg.h"
-#include "graph/delta_overlay.h"
+#include "graph/data_graph.h"
 #include "graph/frozen_graph.h"
 #include "json/json.h"
 #include "query/path_query.h"
@@ -206,7 +206,7 @@ TEST(QueryIndexTest, MatchesOracleOnDeltaOverlay) {
   for (uint64_t seed = 11; seed <= 13; ++seed) {
     std::mt19937_64 rng(seed);
     auto base = graph::Freeze(MakeRandomGraph(rng, 140, 100, 560));
-    graph::DeltaOverlay overlay(base);
+    graph::DataGraph overlay(base);
     // Objects arrive, links come and go (some under a label the base
     // never had), so rows mix base slices and materialized merges.
     std::vector<graph::ObjectId> complex;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "graph/graph_view.h"
 #include "relational/csv.h"
 #include "relational/import.h"
 #include "tests/test_util.h"
@@ -51,7 +52,7 @@ TEST(ImportTest, SingleTableBipartite) {
       graph::DataGraph g,
       ImportTables({{"emp", "name,dept\nada,cs\ngrace,navy\n"}}));
   EXPECT_EQ(g.NumComplexObjects(), 2u);
-  EXPECT_TRUE(g.IsBipartite());
+  EXPECT_TRUE(graph::IsBipartite(g));
   EXPECT_EQ(g.NumEdges(), 4u);
   EXPECT_EQ(g.Name(0), "emp#0");
   ASSERT_OK(g.Validate());
@@ -87,7 +88,7 @@ TEST(ImportTest, ForeignKeysBecomeReferenceEdges) {
       ImportTables({{"emp", "name,dept_id\nada,d1\ngrace,d2\nzed,d9\n"},
                     {"dept", "id,title\nd1,CS\nd2,Navy\n"}},
                    opt));
-  EXPECT_FALSE(g.IsBipartite());
+  EXPECT_FALSE(graph::IsBipartite(g));
   graph::LabelId dept_id = g.labels().Find("dept_id");
   ASSERT_NE(dept_id, graph::kInvalidLabel);
   // ada -> dept#0, grace -> dept#1; zed's dangling d9 dropped.

@@ -42,6 +42,12 @@ const char* kSeeds[] = {
     R"({"id":6,"verb":"query","params":{"workspace":"w","query":"a.b","use_guide":true,"limit":10}})",
     // "parallelism" is a removed field the parser must keep ignoring.
     R"({"id":7,"verb":"re_extract","params":{"workspace":"w","k":0,"parallelism":100000,"save_dir":"","max_dirty_fraction":0.25}})",
+    // Numbers past what their fields can hold: ids past 2^32 (ObjectId)
+    // and 2^53 (exact doubles), and budgets past the steady clock's range.
+    R"({"id":8,"verb":"apply_delta","params":{"workspace":"w","ops":[{"op":"add_object","kind":"atomic","value":"v"},{"op":"add_link","from":4294967296,"to":4294967297,"label":"zz"},{"op":"del_link","from":1e20,"to":0,"label":"zz"}],"compact":true}})",
+    R"({"id":9,"verb":"extract","timeout_s":1e10,"params":{"workspace":"w","k":1e30,"max_types":9007199254740993}})",
+    R"({"id":10,"verb":"stats","timeout_s":1e10})",
+    R"({"id":-1e300,"verb":"list_workspaces","timeout_s":1e300})",
 };
 
 std::string Mutate(const std::string& seed, std::mt19937& rng) {

@@ -340,6 +340,93 @@ TEST_F(ServiceTest, ApplyDeltaTypesComplexArrivals) {
             static_cast<double>(typed_before + 2));
 }
 
+TEST_F(ServiceTest, ApplyDeltaRejectsIdsPastTheObjectCount) {
+  // 2^32 and 2^32 + 1 must not wrap around to objects 0 and 1: the batch
+  // fails with the op index named and the workspace stays as it was.
+  Server server;
+  ASSERT_OK(server.InstallWorkspace("dbg", MakeDbgWorkspace()));
+  const std::string before = server.HandleJsonLine(
+      R"({"id":1,"verb":"list_workspaces"})");
+
+  for (const char* line : {
+           R"({"id":2,"verb":"apply_delta","params":{"workspace":"dbg",)"
+           R"("ops":[{"op":"add_link","from":4294967296,"to":4294967297,)"
+           R"("label":"zz"}]}})",
+           // The id one past the count, after an add_object grew it.
+           R"({"id":3,"verb":"apply_delta","params":{"workspace":"dbg",)"
+           R"("ops":[{"op":"add_object"},{"op":"del_link","from":0,)"
+           R"("to":100000,"label":"name"}]}})",
+       }) {
+    auto req = ParseRequestJson(line);
+    ASSERT_OK(req.status());
+    Response resp = server.Handle(*req);
+    EXPECT_EQ(resp.status.code(), util::StatusCode::kInvalidArgument)
+        << resp.status;
+    EXPECT_NE(resp.status.message().find(req->id == 2 ? "ops[0]" : "ops[1]"),
+              std::string::npos)
+        << resp.status;
+  }
+  EXPECT_EQ(server.HandleJsonLine(R"({"id":1,"verb":"list_workspaces"})"),
+            before);
+
+  Request query = MakeRequest(Verb::kQuery);
+  query.query.workspace = "dbg";
+  query.query.query = "zz";
+  query.query.use_guide = false;
+  Response resp = server.Handle(query);
+  ASSERT_OK(resp.status);
+  EXPECT_EQ(Field(resp.result, "count").AsNumber(), 0);
+}
+
+TEST_F(ServiceTest, IntegerFieldsPastTwoToThe53AreRejected) {
+  // A double past 2^53 no longer holds the integer the client wrote;
+  // before this check "k": 1e30 silently became k = 0 (the auto-k sweep).
+  for (const char* line : {
+           R"({"id":1,"verb":"extract","params":{"workspace":"w","k":1e30}})",
+           R"({"id":1e300,"verb":"stats"})",
+           R"({"id":-9007199254740994,"verb":"stats"})",
+           R"({"id":1,"verb":"query","params":{"workspace":"w","query":"a",)"
+           R"("limit":18446744073709551616}})",
+           R"({"id":1,"verb":"apply_delta","params":{"workspace":"w",)"
+           R"("ops":[{"op":"add_link","from":1e20,"to":0,"label":"a"}]}})",
+       }) {
+    auto req = ParseRequestJson(line);
+    ASSERT_FALSE(req.ok()) << line;
+    EXPECT_EQ(req.status().code(), util::StatusCode::kInvalidArgument)
+        << req.status();
+  }
+  // 2^53 itself is exact and still accepted.
+  ASSERT_OK_AND_ASSIGN(
+      Request req,
+      ParseRequestJson(R"({"id":9007199254740992,"verb":"extract",)"
+                       R"("params":{"workspace":"w","k":9007199254740992}})"));
+  EXPECT_EQ(req.id, int64_t{1} << 53);
+  EXPECT_EQ(req.extract.k, uint64_t{1} << 53);
+}
+
+TEST_F(ServiceTest, BudgetTooLongForTheClockMeansNoDeadline) {
+  // 1e10 s of nanoseconds overflows the steady clock; such a budget means
+  // no deadline rather than one already past.
+  Server server;
+  ASSERT_OK(server.InstallWorkspace("dbg", MakeDbgWorkspace()));
+  for (double budget : {1e10, 1e300}) {
+    SCOPED_TRACE(budget);
+    Request stats = MakeRequest(Verb::kStats);
+    stats.timeout_s = budget;
+    EXPECT_OK(server.Handle(stats).status);
+
+    // Execute alone (no Handle-side wait) must not see a past deadline.
+    Request extract = MakeRequest(Verb::kExtract);
+    extract.extract.workspace = "dbg";
+    extract.extract.k = 6;
+    extract.timeout_s = budget;
+    std::promise<Response> done;
+    server.HandleAsync(extract,
+                       [&](Response r) { done.set_value(std::move(r)); });
+    EXPECT_OK(done.get_future().get().status);
+  }
+}
+
 TEST_F(ServiceTest, TypeVerbWithInlineProgram) {
   Server server;
   catalog::Workspace ws;

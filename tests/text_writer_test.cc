@@ -17,7 +17,6 @@
 #include "gen/random_graph.h"
 #include "gen/table1.h"
 #include "graph/data_graph.h"
-#include "graph/delta_overlay.h"
 #include "graph/frozen_graph.h"
 #include "graph/graph_io.h"
 #include "tests/test_util.h"
@@ -124,7 +123,7 @@ TEST(TextWriterOracle, LabelsInternedOutOfNameOrder) {
 TEST(TextWriterOracle, DeltaOverlayView) {
   graph::DataGraph base_graph = ScaledDbg(1, 7);
   auto base = graph::Freeze(base_graph);
-  graph::DeltaOverlay overlay(base);
+  graph::DataGraph overlay(base);
   graph::ObjectId added = overlay.AddComplex("added");
   graph::ObjectId unnamed = overlay.AddComplex();
   graph::ObjectId value = overlay.AddAtomic("new \"value\"\n");
@@ -141,8 +140,8 @@ TEST(TextWriterOracle, DeltaOverlayView) {
 
   const std::string want = test::OracleWriteGraph(overlay);
   EXPECT_EQ(graph::WriteGraph(overlay), want);
-  // Compaction must not change the text either.
-  EXPECT_EQ(graph::WriteGraph(*overlay.Compact()), want);
+  // Folding must not change the text either.
+  EXPECT_EQ(graph::WriteGraph(*graph::Freeze(overlay)), want);
 }
 
 TEST(TextWriterOracle, Assignments) {

@@ -73,7 +73,7 @@ TEST(XmlImportTest, LeafCollapsingMatchesPaperModeling) {
   EXPECT_EQ(g.NumEdges(), 3u);
   graph::LabelId name = g.labels().Find("name");
   ASSERT_NE(name, graph::kInvalidLabel);
-  EXPECT_TRUE(g.HasEdgeToAtomic(0, name));
+  EXPECT_TRUE(graph::HasEdgeToAtomic(g, 0, name));
   ASSERT_OK(g.Validate());
 }
 
@@ -84,8 +84,8 @@ TEST(XmlImportTest, AttributesAndMixedText) {
   graph::LabelId text = g.labels().Find("text");
   ASSERT_NE(url, graph::kInvalidLabel);
   ASSERT_NE(text, graph::kInvalidLabel);
-  EXPECT_TRUE(g.HasEdgeToAtomic(0, url));
-  EXPECT_TRUE(g.HasEdgeToAtomic(0, text));
+  EXPECT_TRUE(graph::HasEdgeToAtomic(g, 0, url));
+  EXPECT_TRUE(graph::HasEdgeToAtomic(g, 0, text));
 }
 
 TEST(XmlImportTest, NoCollapseOption) {
