@@ -1,16 +1,16 @@
 // Snapshot load latency vs the text loader: how long until a workspace
 // is servable after process start. The snapshot's claim is "no per-edge
 // parsing" — mapping the CSR directly must beat re-parsing graph.sxg by
-// an order of magnitude, and the raw encoding must load without heap
-// growth proportional to the graph. The same rows time the way out:
-// what catalog::SaveWorkspace costs, file by file.
+// an order of magnitude, without heap growth proportional to the graph.
+// The same rows time the way out: what catalog::SaveWorkspace costs,
+// file by file.
 //
 // Measures, per dataset (DBG at each scale, graph-only; Table-1 DB1
 // x100 with the assignment of a k = 10 extraction):
 //   text_ms      catalog::LoadWorkspace via graph.sxg (snapshot removed)
 //   snap_ms      catalog::LoadWorkspace via snapshot.bin
 //   map_ms       bare snapshot::Map (no schema/assignment/validation I/O)
-//   file sizes   graph.sxg vs snapshot.bin vs compact snapshot.bin
+//   file sizes   graph.sxg, assignment.tsv and snapshot.bin
 //   heap bytes   FrozenGraph::MemoryUsage() after each load path
 //   save_ms      catalog::SaveWorkspace, all four files
 //   graph_write_ms, tsv_write_ms, snapshot_write_ms
@@ -126,7 +126,7 @@ int Run(bool json, bool smoke, const std::string& variant) {
   util::TablePrinter table;
   table.SetHeader({"dataset", "objects", "edges", "text (ms)", "snap (ms)",
                    "map (ms)", "speedup", "sxg (KB)", "snap (KB)",
-                   "compact (KB)", "heap text (KB)", "heap snap (KB)",
+                   "heap text (KB)", "heap snap (KB)",
                    "save (ms)", "sxg write (ms)", "tsv write (ms)",
                    "snap write (ms)"});
 
@@ -180,13 +180,6 @@ int Run(bool json, bool smoke, const std::string& variant) {
     });
     fs::remove(scratch);
 
-    snapshot::WriteOptions compact;
-    compact.compact = true;
-    if (!snapshot::Write(*ws.graph, (dir / "compact.bin").string(), compact)
-             .ok()) {
-      return 1;
-    }
-
     const std::string snap_path = (dir / "snapshot.bin").string();
     size_t heap_text = 0, heap_snap = 0;
 
@@ -215,7 +208,6 @@ int Run(bool json, bool smoke, const std::string& variant) {
     uint64_t sxg_b = FileBytes(dir / "graph.sxg");
     uint64_t tsv_b = FileBytes(dir / "assignment.tsv");
     uint64_t snap_b = FileBytes(dir / "snapshot.bin");
-    uint64_t compact_b = FileBytes(dir / "compact.bin");
 
     if (json) {
       std::printf(
@@ -224,7 +216,7 @@ int Run(bool json, bool smoke, const std::string& variant) {
           "\"typed_objects\":%zu,\"text_ms\":%.3f,\"snapshot_ms\":%.3f,"
           "\"map_ms\":%.3f,\"speedup\":%.1f,\"sxg_bytes\":%llu,"
           "\"tsv_bytes\":%llu,\"snapshot_bytes\":%llu,"
-          "\"compact_bytes\":%llu,\"heap_text_bytes\":%zu,"
+          "\"heap_text_bytes\":%zu,"
           "\"heap_snapshot_bytes\":%zu,\"runs\":%d,"
           "\"save_ms_median\":%.3f,\"save_ms_q1\":%.3f,"
           "\"save_ms_q3\":%.3f,\"graph_write_ms_median\":%.3f,"
@@ -237,8 +229,7 @@ int Run(bool json, bool smoke, const std::string& variant) {
           ws.assignment.NumTypedObjects(), text_ms, snap_ms, map_ms, speedup,
           static_cast<unsigned long long>(sxg_b),
           static_cast<unsigned long long>(tsv_b),
-          static_cast<unsigned long long>(snap_b),
-          static_cast<unsigned long long>(compact_b), heap_text, heap_snap,
+          static_cast<unsigned long long>(snap_b), heap_text, heap_snap,
           kSaveRuns, save.median, save.q1, save.q3, graph_write.median,
           graph_write.q1, graph_write.q3, tsv_write.median, tsv_write.q1,
           tsv_write.q3, snapshot_write.median, snapshot_write.q1,
@@ -255,7 +246,7 @@ int Run(bool json, bool smoke, const std::string& variant) {
                     util::StringPrintf("%.2f", snap_ms),
                     util::StringPrintf("%.3f", map_ms),
                     util::StringPrintf("%.0fx", speedup), kb(sxg_b),
-                    kb(snap_b), kb(compact_b), kb(heap_text), kb(heap_snap),
+                    kb(snap_b), kb(heap_text), kb(heap_snap),
                     util::StringPrintf("%.2f", save.median),
                     util::StringPrintf("%.2f", graph_write.median),
                     util::StringPrintf("%.2f", tsv_write.median),

@@ -10,6 +10,7 @@
 #include "graph/graph_io.h"
 #include "snapshot/snapshot.h"
 #include "typing/program_io.h"
+#include "util/atomic_file.h"
 #include "util/string_util.h"
 #include "util/thread_annotations.h"
 
@@ -20,40 +21,13 @@ namespace {
 namespace fs = std::filesystem;
 
 /// Serializes SaveWorkspace process-wide. Two concurrent saves into the
-/// same directory would interleave their three renames and could leave a
-/// graph from one generation next to a schema from another on disk —
-/// Validate() would reject it at load, but the save itself should never
-/// manufacture that state. Saves are rare and I/O-bound, so one coarse
-/// lock is plenty.
+/// same directory would interleave their four renames and could leave a
+/// graph from one generation next to a schema from another on disk; the
+/// save itself should never manufacture that state. Saves are rare and
+/// I/O-bound, so one coarse lock is plenty.
 util::Mutex& SaveMutex() {
   static util::Mutex mu;
   return mu;
-}
-
-// Writes to "<path>.tmp" and renames into place, so a concurrent reader
-// opens either the complete old file or the complete new file — never a
-// partially written one.
-util::Status WriteFileAtomic(const fs::path& path, const std::string& content) {
-  fs::path tmp = path;
-  tmp += ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      return util::Status::Internal("cannot open " + tmp.string() +
-                                    " for writing");
-    }
-    out << content;
-    out.flush();
-    if (!out) return util::Status::Internal("write failed: " + tmp.string());
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return util::Status::Internal("rename to " + path.string() +
-                                  " failed: " + ec.message());
-  }
-  return util::Status::OK();
 }
 
 util::StatusOr<std::string> ReadFile(const fs::path& path) {
@@ -184,18 +158,17 @@ util::Status SaveWorkspace(const Workspace& ws, const std::string& dir) {
     return util::Status::Internal("cannot create directory " + dir + ": " +
                                   ec.message());
   }
-  SCHEMEX_RETURN_IF_ERROR(WriteFileAtomic(fs::path(dir) / "graph.sxg",
-                                          graph::WriteGraph(*ws.graph)));
-  SCHEMEX_RETURN_IF_ERROR(WriteFileAtomic(
-      fs::path(dir) / "schema.dl",
-      typing::WriteTypingProgram(ws.program, ws.graph->labels())));
-  SCHEMEX_RETURN_IF_ERROR(WriteFileAtomic(fs::path(dir) / "assignment.tsv",
-                                          AssignmentToTsv(ws.assignment)));
+  const fs::path d(dir);
+  SCHEMEX_RETURN_IF_ERROR(util::WriteFileAtomic(
+      (d / "graph.sxg").string(), {graph::WriteGraph(*ws.graph)}));
+  SCHEMEX_RETURN_IF_ERROR(util::WriteFileAtomic(
+      (d / "schema.dl").string(),
+      {typing::WriteTypingProgram(ws.program, ws.graph->labels())}));
+  SCHEMEX_RETURN_IF_ERROR(util::WriteFileAtomic(
+      (d / "assignment.tsv").string(), {AssignmentToTsv(ws.assignment)}));
   // The binary snapshot goes last so the text files it shadows are
-  // already in place; snapshot::Write has its own tmp+rename step.
-  SCHEMEX_RETURN_IF_ERROR(
-      snapshot::Write(*ws.graph, (fs::path(dir) / "snapshot.bin").string()));
-  return util::Status::OK();
+  // already in place; snapshot::Write goes through the same seam.
+  return snapshot::Write(*ws.graph, (d / "snapshot.bin").string());
 }
 
 namespace {
@@ -233,6 +206,35 @@ util::StatusOr<Workspace> LoadWorkspaceFromSnapshot(const fs::path& dir) {
   return ws;
 }
 
+// The text load path: parse graph.sxg into a mutable graph that lives
+// only for the duration of the load. The schema is parsed against its
+// label table (interning any labels the graph itself never uses), and
+// the result is frozen exactly once.
+util::StatusOr<Workspace> LoadWorkspaceFromText(const fs::path& dir) {
+  Workspace ws;
+  SCHEMEX_ASSIGN_OR_RETURN(std::string graph_text,
+                           ReadFile(dir / "graph.sxg"));
+  auto loaded = graph::ReadGraph(graph_text);
+  if (!loaded.ok()) return InFile("graph.sxg", loaded.status());
+
+  auto schema_text = ReadFile(dir / "schema.dl");
+  if (schema_text.ok()) {
+    auto program = typing::ReadTypingProgram(*schema_text, &loaded->labels());
+    if (!program.ok()) return InFile("schema.dl", program.status());
+    ws.program = std::move(*program);
+  }
+  auto tsv = ReadFile(dir / "assignment.tsv");
+  if (tsv.ok()) {
+    SCHEMEX_ASSIGN_OR_RETURN(
+        ws.assignment, AssignmentFromTsv(*tsv, loaded->NumObjects()));
+  } else {
+    ws.assignment = typing::TypeAssignment(loaded->NumObjects());
+  }
+  ws.graph = graph::Freeze(*loaded);
+  SCHEMEX_RETURN_IF_ERROR(ws.Validate());
+  return ws;
+}
+
 }  // namespace
 
 util::StatusOr<Workspace> LoadWorkspace(const std::string& dir,
@@ -255,30 +257,17 @@ util::StatusOr<Workspace> LoadWorkspace(const std::string& dir,
         util::Status::NotFound("no snapshot.bin in " + dir);
   }
 
-  Workspace ws;
-  SCHEMEX_ASSIGN_OR_RETURN(std::string graph_text,
-                           ReadFile(fs::path(dir) / "graph.sxg"));
-  // The mutable graph lives only for the duration of the load: the
-  // schema is parsed against its label table (interning any labels the
-  // graph itself never uses), and the result is frozen exactly once.
-  auto loaded = graph::ReadGraph(graph_text);
-  if (!loaded.ok()) return InFile("graph.sxg", loaded.status());
-
-  auto schema_text = ReadFile(fs::path(dir) / "schema.dl");
-  if (schema_text.ok()) {
-    auto program = typing::ReadTypingProgram(*schema_text, &loaded->labels());
-    if (!program.ok()) return InFile("schema.dl", program.status());
-    ws.program = std::move(*program);
+  auto ws = LoadWorkspaceFromText(dir);
+  // When both paths fail, the text path's code stands and the snapshot's
+  // rejection rides along in the message: callers that drop `info` (the
+  // service's error reply) would otherwise lose the real cause.
+  const util::Status& snap = info->snapshot_status;
+  if (!ws.ok() && snap.code() != util::StatusCode::kNotFound &&
+      snap.message() != ws.status().message()) {
+    return util::Status(ws.status().code(),
+                        ws.status().message() +
+                            "; snapshot.bin was rejected: " + snap.ToString());
   }
-  auto tsv = ReadFile(fs::path(dir) / "assignment.tsv");
-  if (tsv.ok()) {
-    SCHEMEX_ASSIGN_OR_RETURN(
-        ws.assignment, AssignmentFromTsv(*tsv, loaded->NumObjects()));
-  } else {
-    ws.assignment = typing::TypeAssignment(loaded->NumObjects());
-  }
-  ws.graph = graph::Freeze(*loaded);
-  SCHEMEX_RETURN_IF_ERROR(ws.Validate());
   return ws;
 }
 

@@ -98,11 +98,14 @@ struct Workspace {
 ///   <dir>/snapshot.bin     binary graph snapshot (docs/snapshot.md)
 /// The directory is created if missing; existing files are overwritten.
 ///
-/// Each file is written to "<file>.tmp" and renamed into place, so a
-/// concurrent LoadWorkspace never reads a partially written file. A
-/// reader interleaving between the renames can still pair files from
-/// different generations; LoadWorkspace's Validate() turns that into a
-/// clean error (retryable) rather than silent corruption.
+/// Each file goes through util::WriteFileAtomic ("<file>.tmp", then a
+/// rename), so every file a concurrent LoadWorkspace opens is whole, and
+/// a failed save removes its tmp file and leaves the file it was
+/// replacing as it was. The four renames are not one commit: a reader
+/// between them, or a save that fails or crashes partway, can leave
+/// files from two generations side by side, and LoadWorkspace may load
+/// that mix without error (Validate() catches only mismatched sizes and
+/// out-of-range ids) until a manifest commits a save as one generation.
 ///
 /// A workspace carrying an overlay is folded first (graph::Freeze of the
 /// overlay) so the files on disk always describe one self-contained
@@ -135,8 +138,10 @@ struct LoadInfo {
 /// own label table. If the snapshot is absent, corrupt, or older than a
 /// schema that now references labels it lacks, the text path
 /// (graph.sxg, frozen once after the schema is parsed) is used instead
-/// and the reason is reported via `info`. Parse errors from either path
-/// name the offending file and line.
+/// and the reason is reported via `info`. If the text path fails too,
+/// its status is returned with the snapshot's rejection appended to the
+/// message. Parse errors from either path name the offending file and
+/// line.
 util::StatusOr<Workspace> LoadWorkspace(const std::string& dir,
                                         LoadInfo* info = nullptr);
 

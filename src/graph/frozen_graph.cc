@@ -177,7 +177,6 @@ util::StatusOr<FrozenGraph> FrozenGraph::FromExternal(External parts) {
   g.in_edges_ = v.in_edges;
   g.arena_ = v.arena;
   g.backing_ = std::move(parts.backing);
-  g.owned_bytes_ = parts.owned_bytes;
   g.mapped_bytes_ = parts.mapped_bytes;
   return g;
 }

@@ -154,8 +154,8 @@ class FrozenGraph {
 
   /// Externally assembled CSR arrays (the snapshot loader's input). The
   /// views must stay valid for as long as `backing` is alive; the
-  /// constructed graph holds `backing` and therefore the mapping (or the
-  /// decoded arenas) through its shared_ptr control block.
+  /// constructed graph holds `backing`, and therefore the mapping,
+  /// through its shared_ptr control block.
   struct External {
     size_t num_objects = 0;
     size_t num_complex = 0;
@@ -163,7 +163,6 @@ class FrozenGraph {
     Parts views;
     LabelInterner labels;
     std::shared_ptr<const void> backing;
-    size_t owned_bytes = 0;   ///< heap bytes inside `backing` (decoded sections)
     size_t mapped_bytes = 0;  ///< file-backed bytes referenced by the views
   };
 

@@ -30,10 +30,6 @@ std::string_view EncodingName(SectionEncoding e) {
   switch (e) {
     case SectionEncoding::kRaw:
       return "raw";
-    case SectionEncoding::kDeltaVarint:
-      return "delta_varint";
-    case SectionEncoding::kEdgeVarint:
-      return "edge_varint";
   }
   return "unknown";
 }

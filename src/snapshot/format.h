@@ -41,16 +41,11 @@ enum class SectionId : uint32_t {
   kLabelArena = 9,    ///< concatenated label names
 };
 
-/// Payload encodings. Raw sections are used in place (zero-copy);
-/// varint sections are decoded into an owned arena at load time.
+/// Payload encodings. Raw is the only one: the payload bytes are the
+/// in-memory array. Ids 1 and 2 were the delta/edge varint sections of
+/// earlier builds; Map() rejects them as unsupported.
 enum class SectionEncoding : uint32_t {
   kRaw = 0,
-  /// u64 arrays only: varint of the delta to the previous element
-  /// (elements must be non-decreasing — true for every offset array).
-  kDeltaVarint = 1,
-  /// HalfEdge arrays only: per edge, varint(label) then zigzag varint of
-  /// (other - previous other), the previous value carrying across rows.
-  kEdgeVarint = 2,
 };
 
 struct Header {
@@ -72,8 +67,8 @@ struct SectionEntry {
   uint32_t id;            ///< SectionId
   uint32_t encoding;      ///< SectionEncoding
   uint64_t offset;        ///< payload start from file begin; 8-aligned
-  uint64_t stored_bytes;  ///< payload length on disk (encoded length)
-  uint64_t raw_bytes;     ///< decoded length (== stored_bytes when raw)
+  uint64_t stored_bytes;  ///< payload length on disk
+  uint64_t raw_bytes;     ///< payload length in memory; == stored_bytes
   uint32_t crc32;         ///< CRC-32 of the stored payload bytes
   uint32_t reserved;      ///< zero
 };
@@ -91,7 +86,7 @@ inline constexpr uint64_t AlignUp8(uint64_t n) { return (n + 7) & ~uint64_t{7}; 
 /// for ids this build does not know.
 std::string_view SectionName(SectionId id);
 
-/// "raw", "delta_varint", "edge_varint", or "unknown".
+/// "raw", or "unknown" for any other encoding id.
 std::string_view EncodingName(SectionEncoding e);
 
 }  // namespace schemex::snapshot

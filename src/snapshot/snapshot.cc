@@ -1,14 +1,13 @@
 #include "snapshot/snapshot.h"
 
+#include <array>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <utility>
 
 #include "snapshot/mapped_file.h"
-#include "snapshot/varint.h"
+#include "util/atomic_file.h"
 #include "util/crc32.h"
 #include "util/string_util.h"
 
@@ -16,52 +15,23 @@ namespace schemex::snapshot {
 
 namespace {
 
-namespace fs = std::filesystem;
-
 using graph::FrozenGraph;
 using graph::HalfEdge;
 
-// ---------------------------------------------------------------------------
-// Writer
-
-/// A section queued for layout. `buf` index into the encoder's owned
-/// buffers when >= 0, else `data` points into the graph's own arrays
-/// (which outlive the write).
-struct PendingSection {
-  SectionId id;
-  SectionEncoding encoding;
-  const char* data = nullptr;
-  int buf = -1;
-  uint64_t stored_bytes = 0;
-  uint64_t raw_bytes = 0;
-};
-
-std::string EncodeDeltaVarint(std::span<const uint64_t> a) {
-  std::string out;
-  uint64_t prev = 0;
-  for (uint64_t v : a) {
-    AppendVarint(&out, v - prev);  // callers pass monotone arrays
-    prev = v;
-  }
-  return out;
+/// The bytes of an array, as the writer emits them.
+template <typename T>
+std::string_view Bytes(std::span<const T> a) {
+  return {reinterpret_cast<const char*>(a.data()), a.size_bytes()};
 }
 
-std::string EncodeEdgeVarint(std::span<const HalfEdge> edges) {
-  std::string out;
-  int64_t prev_other = 0;
-  for (const HalfEdge& e : edges) {
-    AppendVarint(&out, e.label);
-    AppendVarint(&out,
-                 ZigzagEncode(static_cast<int64_t>(e.other) - prev_other));
-    prev_other = static_cast<int64_t>(e.other);
-  }
-  return out;
+template <typename T>
+std::string_view Bytes(const T& v) {
+  return {reinterpret_cast<const char*>(&v), sizeof(T)};
 }
 
 }  // namespace
 
-util::Status Write(const FrozenGraph& g, const std::string& path,
-                   const WriteOptions& options) {
+util::Status Write(const FrozenGraph& g, const std::string& path) {
   FrozenGraph::Parts parts = g.parts();
 
   // The interned label table flattens into an arena + offsets pair, the
@@ -74,75 +44,32 @@ util::Status Write(const FrozenGraph& g, const std::string& path,
   }
   label_off[g.labels().size()] = label_arena.size();
 
-  std::vector<std::string> bufs;
-  std::vector<PendingSection> sections;
-  auto add_raw = [&](SectionId id, const void* data, uint64_t bytes) {
-    PendingSection s;
-    s.id = id;
-    s.encoding = SectionEncoding::kRaw;
-    s.data = static_cast<const char*>(data);
-    s.stored_bytes = bytes;
-    s.raw_bytes = bytes;
-    sections.push_back(s);
+  // Every section is the graph's own array written verbatim; payload i
+  // is SectionId i + 1.
+  const std::array<std::string_view, 9> payloads = {
+      Bytes(parts.out_off),      Bytes(parts.in_off),
+      Bytes(parts.out_edges),    Bytes(parts.in_edges),
+      Bytes(parts.atomic_words), Bytes(parts.text_off),
+      parts.arena,               Bytes(std::span<const uint64_t>(label_off)),
+      label_arena,
   };
-  auto add_encoded = [&](SectionId id, SectionEncoding enc, std::string bytes,
-                         uint64_t raw_bytes) {
-    PendingSection s;
-    s.id = id;
-    s.encoding = enc;
-    s.buf = static_cast<int>(bufs.size());
-    s.stored_bytes = bytes.size();
-    s.raw_bytes = raw_bytes;
-    bufs.push_back(std::move(bytes));
-    sections.push_back(s);
-  };
-  auto add_u64 = [&](SectionId id, std::span<const uint64_t> a) {
-    if (options.compact) {
-      add_encoded(id, SectionEncoding::kDeltaVarint, EncodeDeltaVarint(a),
-                  a.size_bytes());
-    } else {
-      add_raw(id, a.data(), a.size_bytes());
-    }
-  };
-  auto add_edges = [&](SectionId id, std::span<const HalfEdge> e) {
-    if (options.compact) {
-      add_encoded(id, SectionEncoding::kEdgeVarint, EncodeEdgeVarint(e),
-                  e.size_bytes());
-    } else {
-      add_raw(id, e.data(), e.size_bytes());
-    }
-  };
-
-  add_u64(SectionId::kOutOffsets, parts.out_off);
-  add_u64(SectionId::kInOffsets, parts.in_off);
-  add_edges(SectionId::kOutEdges, parts.out_edges);
-  add_edges(SectionId::kInEdges, parts.in_edges);
-  add_raw(SectionId::kAtomicBits, parts.atomic_words.data(),
-          parts.atomic_words.size_bytes());
-  add_u64(SectionId::kTextOffsets, parts.text_off);
-  add_raw(SectionId::kTextArena, parts.arena.data(), parts.arena.size());
-  add_raw(SectionId::kLabelOffsets, label_off.data(),
-          label_off.size() * sizeof(uint64_t));
-  add_raw(SectionId::kLabelArena, label_arena.data(), label_arena.size());
 
   // Layout: header, section table, then 8-aligned payloads in table
   // order (sizeof(SectionEntry) is a multiple of 8, so the first payload
   // lands aligned without padding).
-  std::vector<SectionEntry> entries(sections.size());
-  uint64_t off = sizeof(Header) + sections.size() * sizeof(SectionEntry);
-  for (size_t i = 0; i < sections.size(); ++i) {
-    const PendingSection& s = sections[i];
-    const char* data = s.buf >= 0 ? bufs[s.buf].data() : s.data;
+  std::array<SectionEntry, payloads.size()> entries{};
+  uint64_t off = sizeof(Header) + sizeof(entries);
+  for (size_t i = 0; i < payloads.size(); ++i) {
     off = AlignUp8(off);
     SectionEntry& e = entries[i];
-    e.id = static_cast<uint32_t>(s.id);
-    e.encoding = static_cast<uint32_t>(s.encoding);
+    e.id = static_cast<uint32_t>(i + 1);
+    e.encoding = static_cast<uint32_t>(SectionEncoding::kRaw);
     e.offset = off;
-    e.stored_bytes = s.stored_bytes;
-    e.raw_bytes = s.raw_bytes;
-    e.crc32 = util::Crc32(data, s.stored_bytes);
+    e.stored_bytes = payloads[i].size();
+    e.raw_bytes = payloads[i].size();
+    e.crc32 = util::Crc32(payloads[i]);
     e.reserved = 0;
-    off += s.stored_bytes;
+    off += payloads[i].size();
   }
 
   Header h{};
@@ -154,69 +81,26 @@ util::Status Write(const FrozenGraph& g, const std::string& path,
   h.num_complex = g.NumComplexObjects();
   h.num_edges = g.NumEdges();
   h.num_labels = g.labels().size();
-  h.num_sections = static_cast<uint32_t>(sections.size());
+  h.num_sections = static_cast<uint32_t>(entries.size());
   h.header_crc = util::Crc32(&h, offsetof(Header, header_crc));
 
-  fs::path tmp = fs::path(path);
-  tmp += ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      return util::Status::Internal("cannot open " + tmp.string() +
-                                    " for writing");
+  static constexpr char kPad[8] = {};
+  std::vector<std::string_view> pieces = {Bytes(h), Bytes(entries)};
+  uint64_t written = sizeof(Header) + sizeof(entries);
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    if (written < entries[i].offset) {
+      pieces.emplace_back(kPad, entries[i].offset - written);
     }
-    uint64_t written = 0;
-    auto emit = [&](const void* data, uint64_t bytes) {
-      out.write(static_cast<const char*>(data),
-                static_cast<std::streamsize>(bytes));
-      written += bytes;
-    };
-    emit(&h, sizeof(h));
-    emit(entries.data(), entries.size() * sizeof(SectionEntry));
-    static constexpr char kPad[8] = {};
-    for (size_t i = 0; i < sections.size(); ++i) {
-      const PendingSection& s = sections[i];
-      if (written < entries[i].offset) {
-        emit(kPad, entries[i].offset - written);
-      }
-      emit(s.buf >= 0 ? bufs[s.buf].data() : s.data, s.stored_bytes);
-    }
-    out.flush();
-    if (!out || written != off) {
-      return util::Status::Internal("write failed: " + tmp.string());
-    }
+    pieces.push_back(payloads[i]);
+    written = entries[i].offset + payloads[i].size();
   }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return util::Status::Internal("rename to " + path +
-                                  " failed: " + ec.message());
-  }
-  return util::Status::OK();
+  return util::WriteFileAtomic(path, pieces);
 }
 
 // ---------------------------------------------------------------------------
 // Loader
 
 namespace {
-
-/// Everything a mapped FrozenGraph keeps alive: the mapping itself plus
-/// the arenas decoded from any compact sections.
-struct Backing {
-  MappedFile file;
-  std::vector<uint64_t> out_off;
-  std::vector<uint64_t> in_off;
-  std::vector<uint64_t> text_off;
-  std::vector<HalfEdge> out_edges;
-  std::vector<HalfEdge> in_edges;
-
-  size_t OwnedBytes() const {
-    return (out_off.capacity() + in_off.capacity() + text_off.capacity()) *
-               sizeof(uint64_t) +
-           (out_edges.capacity() + in_edges.capacity()) * sizeof(HalfEdge);
-  }
-};
 
 util::Status SnapErr(const std::string& path, std::string why) {
   return util::Status::InvalidArgument("snapshot " + path + ": " +
@@ -305,12 +189,14 @@ util::Status ReadLayout(const MappedFile& file, Header* header,
   return util::Status::OK();
 }
 
-/// Looks up a required section, checks its encoding is one of
-/// `allowed_encodings` (bitmask over SectionEncoding values) and, when
-/// `want_raw_bytes` != npos, its decoded size.
+constexpr uint64_t kAnyBytes = std::numeric_limits<uint64_t>::max();
+
+/// Looks up a required section, checks that it is raw and, when
+/// `want_bytes` != kAnyBytes, its size. Encodings 1 and 2 were the
+/// retired delta/edge varint sections; this build rejects them.
 util::StatusOr<SectionEntry> RequireSection(
     const std::string& path, const std::map<uint32_t, SectionEntry>& by_id,
-    SectionId id, uint32_t allowed_encodings, uint64_t want_raw_bytes) {
+    SectionId id, uint64_t want_bytes) {
   auto name = SectionName(id);
   auto it = by_id.find(static_cast<uint32_t>(id));
   if (it == by_id.end()) {
@@ -319,35 +205,28 @@ util::StatusOr<SectionEntry> RequireSection(
                                             name.data()));
   }
   const SectionEntry& e = it->second;
-  if (e.encoding > 31 || ((allowed_encodings >> e.encoding) & 1) == 0) {
+  if (e.encoding != static_cast<uint32_t>(SectionEncoding::kRaw)) {
     return SnapErr(path, util::StringPrintf(
                              "section %.*s has unsupported encoding %u",
                              static_cast<int>(name.size()), name.data(),
                              e.encoding));
   }
-  if (e.encoding == static_cast<uint32_t>(SectionEncoding::kRaw) &&
-      e.raw_bytes != e.stored_bytes) {
+  if (e.raw_bytes != e.stored_bytes) {
     return SnapErr(path, util::StringPrintf(
                              "raw section %.*s declares raw_bytes != "
                              "stored_bytes",
                              static_cast<int>(name.size()), name.data()));
   }
-  if (want_raw_bytes != std::numeric_limits<uint64_t>::max() &&
-      e.raw_bytes != want_raw_bytes) {
+  if (want_bytes != kAnyBytes && e.raw_bytes != want_bytes) {
     return SnapErr(path, util::StringPrintf(
-                             "section %.*s decodes to %llu bytes, header "
+                             "section %.*s holds %llu bytes, header "
                              "counts require %llu",
                              static_cast<int>(name.size()), name.data(),
                              static_cast<unsigned long long>(e.raw_bytes),
-                             static_cast<unsigned long long>(want_raw_bytes)));
+                             static_cast<unsigned long long>(want_bytes)));
   }
   return e;
 }
-
-constexpr uint32_t EncMask(SectionEncoding e) {
-  return 1u << static_cast<uint32_t>(e);
-}
-constexpr uint64_t kAnyRawBytes = std::numeric_limits<uint64_t>::max();
 
 util::Status VerifySectionCrc(const MappedFile& file, const SectionEntry& e) {
   if (util::Crc32(file.data() + e.offset, e.stored_bytes) != e.crc32) {
@@ -360,188 +239,69 @@ util::Status VerifySectionCrc(const MappedFile& file, const SectionEntry& e) {
   return util::Status::OK();
 }
 
-/// Materializes a u64 section: zero-copy view for raw, decode into
-/// `*decoded` for delta-varint.
-util::StatusOr<std::span<const uint64_t>> LoadU64Section(
-    const MappedFile& file, const SectionEntry& e,
-    std::vector<uint64_t>* decoded) {
-  const uint8_t* payload = file.data() + e.offset;
-  if (e.encoding == static_cast<uint32_t>(SectionEncoding::kRaw)) {
-    return std::span<const uint64_t>(
-        reinterpret_cast<const uint64_t*>(payload), e.raw_bytes / 8);
-  }
-  auto name = SectionName(static_cast<SectionId>(e.id));
-  const size_t count = e.raw_bytes / 8;
-  decoded->clear();
-  decoded->reserve(count);
-  VarintReader reader(payload, e.stored_bytes);
-  uint64_t value = 0;
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t delta = 0;
-    if (!reader.Read(&delta) ||
-        value + delta < value /* u64 overflow */) {
-      return SnapErr(file.path(),
-                     util::StringPrintf("section %.*s: malformed varint "
-                                        "stream at element %zu",
-                                        static_cast<int>(name.size()),
-                                        name.data(), i));
-    }
-    value += delta;
-    decoded->push_back(value);
-  }
-  if (!reader.AtEnd()) {
-    return SnapErr(file.path(),
-                   util::StringPrintf("section %.*s: trailing bytes after "
-                                      "the last varint",
-                                      static_cast<int>(name.size()),
-                                      name.data()));
-  }
-  return std::span<const uint64_t>(*decoded);
-}
-
-/// Materializes an edge section: zero-copy view for raw, decode for
-/// edge-varint.
-util::StatusOr<std::span<const HalfEdge>> LoadEdgeSection(
-    const MappedFile& file, const SectionEntry& e,
-    std::vector<HalfEdge>* decoded) {
-  const uint8_t* payload = file.data() + e.offset;
-  if (e.encoding == static_cast<uint32_t>(SectionEncoding::kRaw)) {
-    return std::span<const HalfEdge>(
-        reinterpret_cast<const HalfEdge*>(payload), e.raw_bytes / 8);
-  }
-  auto name = SectionName(static_cast<SectionId>(e.id));
-  auto malformed = [&](size_t i) {
-    return SnapErr(file.path(),
-                   util::StringPrintf("section %.*s: malformed varint "
-                                      "stream at edge %zu",
-                                      static_cast<int>(name.size()),
-                                      name.data(), i));
-  };
-  const size_t count = e.raw_bytes / 8;
-  decoded->clear();
-  decoded->reserve(count);
-  VarintReader reader(payload, e.stored_bytes);
-  int64_t prev_other = 0;
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t label = 0;
-    uint64_t zz = 0;
-    if (!reader.Read(&label) || !reader.Read(&zz) ||
-        label > std::numeric_limits<graph::LabelId>::max()) {
-      return malformed(i);
-    }
-    int64_t other = prev_other + ZigzagDecode(zz);
-    if (other < 0 || other > std::numeric_limits<graph::ObjectId>::max()) {
-      return malformed(i);
-    }
-    prev_other = other;
-    decoded->push_back(HalfEdge{static_cast<graph::LabelId>(label),
-                                static_cast<graph::ObjectId>(other)});
-  }
-  if (!reader.AtEnd()) {
-    return SnapErr(file.path(),
-                   util::StringPrintf("section %.*s: trailing bytes after "
-                                      "the last edge",
-                                      static_cast<int>(name.size()),
-                                      name.data()));
-  }
-  return std::span<const HalfEdge>(*decoded);
+/// A raw section's payload as an array of T, pointing into the mapping.
+template <typename T>
+std::span<const T> View(const MappedFile& file, const SectionEntry& e) {
+  return {reinterpret_cast<const T*>(file.data() + e.offset),
+          e.raw_bytes / sizeof(T)};
 }
 
 }  // namespace
 
 util::StatusOr<std::shared_ptr<const FrozenGraph>> Map(
-    const std::string& path, const MapOptions& options) {
+    const std::string& path) {
   SCHEMEX_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
   Header h;
   std::map<uint32_t, SectionEntry> by_id;
   SCHEMEX_RETURN_IF_ERROR(ReadLayout(file, &h, &by_id));
 
   const uint64_t n = h.num_objects;
-  const uint32_t kU64Enc =
-      EncMask(SectionEncoding::kRaw) | EncMask(SectionEncoding::kDeltaVarint);
-  const uint32_t kEdgeEnc =
-      EncMask(SectionEncoding::kRaw) | EncMask(SectionEncoding::kEdgeVarint);
-  const uint32_t kRawOnly = EncMask(SectionEncoding::kRaw);
-
-  SCHEMEX_ASSIGN_OR_RETURN(
-      SectionEntry out_off_e,
-      RequireSection(path, by_id, SectionId::kOutOffsets, kU64Enc,
-                     (n + 1) * 8));
-  SCHEMEX_ASSIGN_OR_RETURN(
-      SectionEntry in_off_e,
-      RequireSection(path, by_id, SectionId::kInOffsets, kU64Enc,
-                     (n + 1) * 8));
-  SCHEMEX_ASSIGN_OR_RETURN(
-      SectionEntry out_edges_e,
-      RequireSection(path, by_id, SectionId::kOutEdges, kEdgeEnc,
-                     h.num_edges * 8));
-  SCHEMEX_ASSIGN_OR_RETURN(
-      SectionEntry in_edges_e,
-      RequireSection(path, by_id, SectionId::kInEdges, kEdgeEnc,
-                     h.num_edges * 8));
-  SCHEMEX_ASSIGN_OR_RETURN(
-      SectionEntry atomic_e,
-      RequireSection(path, by_id, SectionId::kAtomicBits, kRawOnly,
-                     (n + 63) / 64 * 8));
-  SCHEMEX_ASSIGN_OR_RETURN(
-      SectionEntry text_off_e,
-      RequireSection(path, by_id, SectionId::kTextOffsets, kU64Enc,
-                     (2 * n + 1) * 8));
-  SCHEMEX_ASSIGN_OR_RETURN(
-      SectionEntry text_arena_e,
-      RequireSection(path, by_id, SectionId::kTextArena, kRawOnly,
-                     kAnyRawBytes));
+  auto require = [&](SectionId id, uint64_t want_bytes) {
+    return RequireSection(path, by_id, id, want_bytes);
+  };
+  SCHEMEX_ASSIGN_OR_RETURN(SectionEntry out_off_e,
+                           require(SectionId::kOutOffsets, (n + 1) * 8));
+  SCHEMEX_ASSIGN_OR_RETURN(SectionEntry in_off_e,
+                           require(SectionId::kInOffsets, (n + 1) * 8));
+  SCHEMEX_ASSIGN_OR_RETURN(SectionEntry out_edges_e,
+                           require(SectionId::kOutEdges, h.num_edges * 8));
+  SCHEMEX_ASSIGN_OR_RETURN(SectionEntry in_edges_e,
+                           require(SectionId::kInEdges, h.num_edges * 8));
+  SCHEMEX_ASSIGN_OR_RETURN(SectionEntry atomic_e,
+                           require(SectionId::kAtomicBits, (n + 63) / 64 * 8));
+  SCHEMEX_ASSIGN_OR_RETURN(SectionEntry text_off_e,
+                           require(SectionId::kTextOffsets, (2 * n + 1) * 8));
+  SCHEMEX_ASSIGN_OR_RETURN(SectionEntry text_arena_e,
+                           require(SectionId::kTextArena, kAnyBytes));
   SCHEMEX_ASSIGN_OR_RETURN(
       SectionEntry label_off_e,
-      RequireSection(path, by_id, SectionId::kLabelOffsets, kRawOnly,
-                     (h.num_labels + 1) * 8));
-  SCHEMEX_ASSIGN_OR_RETURN(
-      SectionEntry label_arena_e,
-      RequireSection(path, by_id, SectionId::kLabelArena, kRawOnly,
-                     kAnyRawBytes));
+      require(SectionId::kLabelOffsets, (h.num_labels + 1) * 8));
+  SCHEMEX_ASSIGN_OR_RETURN(SectionEntry label_arena_e,
+                           require(SectionId::kLabelArena, kAnyBytes));
 
-  if (options.verify_crc) {
-    for (const auto& [id, e] : by_id) {
-      SCHEMEX_RETURN_IF_ERROR(VerifySectionCrc(file, e));
-    }
+  for (const auto& [id, e] : by_id) {
+    SCHEMEX_RETURN_IF_ERROR(VerifySectionCrc(file, e));
   }
-
-  auto backing = std::make_shared<Backing>();
-  const uint8_t* base = file.data();
 
   FrozenGraph::External ext;
   ext.num_objects = n;
   ext.num_complex = h.num_complex;
   ext.num_edges = h.num_edges;
-  SCHEMEX_ASSIGN_OR_RETURN(ext.views.out_off,
-                           LoadU64Section(file, out_off_e, &backing->out_off));
-  SCHEMEX_ASSIGN_OR_RETURN(ext.views.in_off,
-                           LoadU64Section(file, in_off_e, &backing->in_off));
-  SCHEMEX_ASSIGN_OR_RETURN(
-      ext.views.out_edges,
-      LoadEdgeSection(file, out_edges_e, &backing->out_edges));
-  SCHEMEX_ASSIGN_OR_RETURN(
-      ext.views.in_edges,
-      LoadEdgeSection(file, in_edges_e, &backing->in_edges));
-  SCHEMEX_ASSIGN_OR_RETURN(
-      ext.views.text_off,
-      LoadU64Section(file, text_off_e, &backing->text_off));
-  ext.views.atomic_words = std::span<const uint64_t>(
-      reinterpret_cast<const uint64_t*>(base + atomic_e.offset),
-      atomic_e.raw_bytes / 8);
-  ext.views.arena = std::string_view(
-      reinterpret_cast<const char*>(base + text_arena_e.offset),
-      text_arena_e.raw_bytes);
+  ext.views.out_off = View<uint64_t>(file, out_off_e);
+  ext.views.in_off = View<uint64_t>(file, in_off_e);
+  ext.views.out_edges = View<HalfEdge>(file, out_edges_e);
+  ext.views.in_edges = View<HalfEdge>(file, in_edges_e);
+  ext.views.text_off = View<uint64_t>(file, text_off_e);
+  ext.views.atomic_words = View<uint64_t>(file, atomic_e);
+  std::span<const char> arena = View<char>(file, text_arena_e);
+  ext.views.arena = std::string_view(arena.data(), arena.size());
 
   // Rebuild the interner from the label arena — O(label bytes), the one
   // part of the load that is not a view, because algorithms look labels
   // up by name through the hash index.
-  std::span<const uint64_t> label_off(
-      reinterpret_cast<const uint64_t*>(base + label_off_e.offset),
-      label_off_e.raw_bytes / 8);
-  std::string_view label_arena(
-      reinterpret_cast<const char*>(base + label_arena_e.offset),
-      label_arena_e.raw_bytes);
+  std::span<const uint64_t> label_off = View<uint64_t>(file, label_off_e);
+  std::span<const char> label_bytes = View<char>(file, label_arena_e);
+  std::string_view label_arena(label_bytes.data(), label_bytes.size());
   for (size_t l = 0; l + 1 < label_off.size(); ++l) {
     if (label_off[l] > label_off[l + 1] ||
         label_off[l + 1] > label_arena.size()) {
@@ -554,23 +314,19 @@ util::StatusOr<std::shared_ptr<const FrozenGraph>> Map(
     return SnapErr(path, "duplicate label names in the label arena");
   }
 
-  if (options.validate_edges) {
-    for (std::span<const HalfEdge> edges :
-         {ext.views.out_edges, ext.views.in_edges}) {
-      for (const HalfEdge& e : edges) {
-        if (e.other >= n || e.label >= h.num_labels) {
-          return SnapErr(path, util::StringPrintf(
-                                   "edge (label %u, other %u) out of bounds",
-                                   e.label, e.other));
-        }
+  for (std::span<const HalfEdge> edges :
+       {ext.views.out_edges, ext.views.in_edges}) {
+    for (const HalfEdge& e : edges) {
+      if (e.other >= n || e.label >= h.num_labels) {
+        return SnapErr(path, util::StringPrintf(
+                                 "edge (label %u, other %u) out of bounds",
+                                 e.label, e.other));
       }
     }
   }
 
-  ext.owned_bytes = backing->OwnedBytes();
   ext.mapped_bytes = file.size();
-  backing->file = std::move(file);
-  ext.backing = std::move(backing);
+  ext.backing = std::make_shared<MappedFile>(std::move(file));
 
   SCHEMEX_ASSIGN_OR_RETURN(FrozenGraph g,
                            FrozenGraph::FromExternal(std::move(ext)));

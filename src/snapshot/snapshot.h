@@ -12,56 +12,35 @@
 
 namespace schemex::snapshot {
 
-/// Options for Write().
-struct WriteOptions {
-  /// Encode the offset tables and adjacency arrays as delta/zigzag
-  /// varints. Roughly halves the file for typical graphs, but compact
-  /// sections must be decoded into an owned arena at load time, so a
-  /// compact snapshot loads via one linear decode pass instead of
-  /// zero-copy. The text/label arenas and the atomic bitset are always
-  /// raw.
-  bool compact = false;
-};
-
 /// Serializes `g` to `path` in the binary snapshot format
-/// (docs/snapshot.md). Writes "<path>.tmp" and renames into place, so a
-/// concurrent Map() sees either the complete old file or the complete
-/// new one. O(graph) once; every later Map() is O(validation).
-util::Status Write(const graph::FrozenGraph& g, const std::string& path,
-                   const WriteOptions& options = {});
-
-/// Options for Map().
-struct MapOptions {
-  /// Check the per-section CRC-32s (and the header CRC, which is always
-  /// checked). Touches every payload byte once — still far cheaper than
-  /// a text parse. Turn off for trusted, larger-than-RAM snapshots where
-  /// faulting the whole file in defeats out-of-core paging.
-  bool verify_crc = true;
-  /// Bounds-check every edge's endpoint and label against the header
-  /// counts (one linear pass, no allocation). Protects later algorithm
-  /// scans from out-of-bounds ids in files whose corruption survives the
-  /// CRC policy above. Turn off only together with a trusted source.
-  bool validate_edges = true;
-};
+/// (docs/snapshot.md). The file goes through util::WriteFileAtomic
+/// straight from the graph's own arrays, so a concurrent Map() sees
+/// either the complete old file or the complete new one. O(graph) once;
+/// every later Map() is O(validation).
+util::Status Write(const graph::FrozenGraph& g, const std::string& path);
 
 /// Maps the snapshot at `path` and assembles a FrozenGraph whose CSR
-/// arrays point directly into the mapping (raw sections) or into arenas
-/// decoded from it (compact sections). The returned graph keeps the
+/// arrays point directly into the mapping. The returned graph keeps the
 /// mapping alive through its control block: the file is unmapped when
 /// the last shared_ptr copy drops, even if the file was replaced or
 /// unlinked meanwhile.
 ///
+/// Checks the header, the section table, every section's CRC-32, the
+/// offset arrays (via FrozenGraph::FromExternal), the label table and
+/// every edge's endpoint and label against the header counts. It does
+/// not run FrozenGraph::Validate()'s sortedness and mirror checks.
 /// Structured InvalidArgument on any malformed input — bad magic,
 /// version or endianness, truncation, CRC mismatch, out-of-bounds
-/// section table or offsets, non-canonical varints — never a crash.
+/// section table, offsets or edges, a section in an encoding other than
+/// raw — never a crash.
 util::StatusOr<std::shared_ptr<const graph::FrozenGraph>> Map(
-    const std::string& path, const MapOptions& options = {});
+    const std::string& path);
 
 /// One section table row, plus whether its payload CRC verifies.
 struct SectionInfo {
   uint32_t id = 0;
   std::string name;      ///< "out_offsets", ... or "unknown"
-  std::string encoding;  ///< "raw", "delta_varint", "edge_varint"
+  std::string encoding;  ///< "raw", or "unknown" for any other id
   uint64_t offset = 0;
   uint64_t stored_bytes = 0;
   uint64_t raw_bytes = 0;

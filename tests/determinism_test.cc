@@ -295,27 +295,21 @@ TEST_F(DeterminismTest, SchemaTextIdenticalAcrossIndependentExtractions) {
 
 TEST_F(DeterminismTest, SnapshotBytesIdenticalAcrossIndependentFreezes) {
   // Two separately generated + frozen graphs of the same seed must write
-  // identical snapshots in both encodings. Also proves the freeze-time
-  // process-unique graph id() stays out of the file.
-  for (bool compact : {false, true}) {
-    std::vector<std::string> files;
-    for (int run = 0; run < 2; ++run) {
-      auto g = gen::MakeDbgDataset(11);
-      ASSERT_TRUE(g.ok());
-      auto frozen = graph::Freeze(*g);
-      fs::path p = dir_ / ("snap" + std::to_string(run) +
-                           (compact ? "c" : "r") + ".bin");
-      snapshot::WriteOptions wo;
-      wo.compact = compact;
-      ASSERT_OK(snapshot::Write(*frozen, p.string(), wo));
-      std::ifstream in(p, std::ios::binary);
-      files.emplace_back((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-      ASSERT_FALSE(files.back().empty());
-    }
-    EXPECT_EQ(files[0], files[1])
-        << "snapshot bytes drifted (compact=" << compact << ")";
+  // identical snapshots. Also proves the freeze-time process-unique
+  // graph id() stays out of the file.
+  std::vector<std::string> files;
+  for (int run = 0; run < 2; ++run) {
+    auto g = gen::MakeDbgDataset(11);
+    ASSERT_TRUE(g.ok());
+    auto frozen = graph::Freeze(*g);
+    fs::path p = dir_ / ("snap" + std::to_string(run) + ".bin");
+    ASSERT_OK(snapshot::Write(*frozen, p.string()));
+    std::ifstream in(p, std::ios::binary);
+    files.emplace_back((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+    ASSERT_FALSE(files.back().empty());
   }
+  EXPECT_EQ(files[0], files[1]) << "snapshot bytes drifted";
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -92,6 +94,47 @@ TEST_F(ServiceTest, LoadWorkspaceVerb) {
   req.load.dir = (dir_ / "missing").string();
   resp = server.Handle(req);
   EXPECT_EQ(resp.status.code(), util::StatusCode::kNotFound);
+}
+
+TEST_F(ServiceTest, LoadWorkspaceReportsRejectedSnapshot) {
+  // A rejected snapshot.bin reaches the client either way: as
+  // snapshot_error when the text files load, and inside the error reply
+  // when they do not load either.
+  catalog::Workspace ws = MakeDbgWorkspace();
+  ASSERT_OK(catalog::SaveWorkspace(ws, dir_.string()));
+  std::string snap;
+  {
+    std::ifstream in(dir_ / "snapshot.bin", std::ios::binary);
+    snap.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(snap.empty());
+  snap.back() = static_cast<char>(snap.back() ^ 1);  // label arena byte
+  {
+    std::ofstream out(dir_ / "snapshot.bin",
+                      std::ios::binary | std::ios::trunc);
+    out << snap;
+  }
+
+  Server server;
+  Request req = MakeRequest(Verb::kLoadWorkspace);
+  req.load.name = "dbg";
+  req.load.dir = dir_.string();
+  Response resp = server.Handle(req);
+  ASSERT_OK(resp.status);
+  EXPECT_EQ(Field(resp.result, "source").AsString(), "text");
+  EXPECT_NE(Field(resp.result, "snapshot_error").AsString().find(
+                "section label_arena payload CRC mismatch"),
+            std::string::npos);
+
+  fs::remove(dir_ / "graph.sxg");
+  resp = server.Handle(req);
+  EXPECT_EQ(resp.status.code(), util::StatusCode::kNotFound);
+  const std::string wire = SerializeResponse(resp);
+  EXPECT_NE(wire.find("graph.sxg"), std::string::npos) << wire;
+  EXPECT_NE(wire.find("section label_arena payload CRC mismatch"),
+            std::string::npos)
+      << wire;
 }
 
 TEST_F(ServiceTest, ExtractVerbReplacesSchema) {

@@ -19,9 +19,8 @@ namespace fs = std::filesystem;
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: snapshot save <workspace-dir> [--out PATH] [--compact]\n"
-      "       snapshot load <snapshot.bin> [--no-verify-crc]\n"
-      "                                    [--no-validate-edges] [--deep]\n"
+      "usage: snapshot save <workspace-dir> [--out PATH]\n"
+      "       snapshot load <snapshot.bin> [--deep]\n"
       "       snapshot inspect <snapshot.bin> [--json]\n");
   return 2;
 }
@@ -35,12 +34,9 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
 int RunSave(int argc, char** argv) {
   std::string dir;
   std::string out;
-  snapshot::WriteOptions opt;
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--compact") {
-      opt.compact = true;
-    } else if (arg == "--out") {
+    if (arg == "--out") {
       if (++i >= argc) return Usage();
       out = argv[i];
     } else if (!arg.empty() && arg[0] != '-' && dir.empty()) {
@@ -59,32 +55,25 @@ int RunSave(int argc, char** argv) {
     return 1;
   }
   auto t0 = std::chrono::steady_clock::now();
-  auto st = snapshot::Write(*ws->graph, out, opt);
+  auto st = snapshot::Write(*ws->graph, out);
   if (!st.ok()) {
     std::fprintf(stderr, "snapshot save: %s\n", st.ToString().c_str());
     return 1;
   }
   std::error_code ec;
   auto bytes = fs::file_size(out, ec);
-  std::printf(
-      "wrote %s (%llu bytes%s, %zu objects, %zu edges, %.1f ms)\n",
-      out.c_str(), static_cast<unsigned long long>(ec ? 0 : bytes),
-      opt.compact ? ", compact" : "", ws->graph->NumObjects(),
-      ws->graph->NumEdges(), MsSince(t0));
+  std::printf("wrote %s (%llu bytes, %zu objects, %zu edges, %.1f ms)\n",
+              out.c_str(), static_cast<unsigned long long>(ec ? 0 : bytes),
+              ws->graph->NumObjects(), ws->graph->NumEdges(), MsSince(t0));
   return 0;
 }
 
 int RunLoad(int argc, char** argv) {
   std::string path;
-  snapshot::MapOptions opt;
   bool deep = false;
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--no-verify-crc") {
-      opt.verify_crc = false;
-    } else if (arg == "--no-validate-edges") {
-      opt.validate_edges = false;
-    } else if (arg == "--deep") {
+    if (arg == "--deep") {
       deep = true;
     } else if (!arg.empty() && arg[0] != '-' && path.empty()) {
       path = arg;
@@ -95,7 +84,7 @@ int RunLoad(int argc, char** argv) {
   if (path.empty()) return Usage();
 
   auto t0 = std::chrono::steady_clock::now();
-  auto g = snapshot::Map(path, opt);
+  auto g = snapshot::Map(path);
   double map_ms = MsSince(t0);
   if (!g.ok()) {
     std::fprintf(stderr, "snapshot load: %s\n",

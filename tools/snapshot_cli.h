@@ -5,13 +5,12 @@ namespace schemex::tools {
 
 /// The `snapshot` subcommand shared by schemexd and schemexctl:
 ///
-///   <binary> snapshot save <workspace-dir> [--out PATH] [--compact]
-///   <binary> snapshot load <snapshot.bin> [--no-verify-crc]
-///                                         [--no-validate-edges] [--deep]
+///   <binary> snapshot save <workspace-dir> [--out PATH]
+///   <binary> snapshot load <snapshot.bin> [--deep]
 ///   <binary> snapshot inspect <snapshot.bin> [--json]
 ///
 /// save     loads the workspace (text or snapshot) and (re)writes its
-///          binary snapshot — the offline migration/compaction path.
+///          binary snapshot — the offline migration path.
 /// load     maps a snapshot, reporting load latency, heap vs mapped
 ///          bytes, and graph stats; --deep runs the full O(edges)
 ///          representation check.
