@@ -4,8 +4,10 @@
 //    same typing programs (the paper's "double-quadratic" naive bound vs
 //    the differential approach);
 //  * Stage 1 via the literal candidate-program + extent-merge algorithm
-//    vs partition refinement ("bisimulation-style computation"), across
-//    database sizes;
+//    (the test oracle in tests/gfp_oracle.h), via the same merge over
+//    one candidate per bisimulation class (typing::PerfectTypingViaGfp),
+//    and via partition refinement ("bisimulation-style computation"),
+//    across database sizes;
 //  * greedy clustering cost as the number of Stage-1 types grows.
 
 #include <benchmark/benchmark.h>
@@ -17,6 +19,7 @@
 #include "gen/dbg.h"
 #include "gen/random_graph.h"
 #include "gen/spec.h"
+#include "tests/gfp_oracle.h"
 #include "typing/gfp.h"
 #include "typing/perfect_typing.h"
 
@@ -77,6 +80,15 @@ void BM_Stage1ViaGfp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Stage1ViaGfp)->Arg(1)->Arg(4)->Arg(16);
+
+void BM_Stage1GfpOracle(benchmark::State& state) {
+  graph::DataGraph g = MakeStructured(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    auto r = typing::CandidateGfpOracle(g);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_Stage1GfpOracle)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_Stage1ViaHashRefinement(benchmark::State& state) {
   graph::DataGraph g = MakeStructured(static_cast<int>(state.range(0)));

@@ -46,7 +46,23 @@
 //                 (at scale 25, where the full sweep takes minutes, each
 //                 capped point must equal a cold extraction at its k);
 //                 a mismatch exits 1.
-//   --smoke   scales {1, 5} only and skip the large scales (CI-sized)
+//               stage1_gfp row (DBG x1/x5/x25 and Table-1 DB1 x10/x30
+//               with both variants; DB1 x100 "after" only) —
+//                 {"bench":"stage1_gfp","variant":"before"|"after",
+//                  "dataset":"dbg"|"db1","scale":S,"objects":N,
+//                  "types":T,"bisim_types":B,"runs":R,
+//                  "stage1_ms_median":F,"stage1_ms_q1":F,
+//                  "stage1_ms_q3":F,"hardware_concurrency":N}
+//                 R cold runs of `stage1: gfp`. "before" is the literal
+//                 §4.1 program (tests/gfp_oracle.h: one candidate type
+//                 and one n-bit extent per complex object); "after" is
+//                 typing::PerfectTypingViaGfp (one per bisimulation
+//                 class; B is their count, T the merged type count).
+//                 Before the rows print, both results must be identical
+//                 (program, homes, weights); a mismatch exits 1. The
+//                 oracle would need ~1.26 GB of extents at DB1 x100.
+//   --smoke   scales {1, 5} only and skip the large scales (CI-sized);
+//             stage1_gfp rows for DBG x1 and DB1 x1 only
 //   --variant V
 //             the stage2_greedy rows' "variant" label (default
 //             "current"). Before/after rows come from this file built
@@ -72,8 +88,10 @@
 #include "extract/knee.h"
 #include "gen/dbg.h"
 #include "gen/spec.h"
+#include "gen/table1.h"
 #include "graph/data_graph.h"
 #include "graph/frozen_graph.h"
+#include "tests/gfp_oracle.h"
 #include "typing/bit_signature.h"
 #include "typing/defect.h"
 #include "typing/perfect_typing.h"
@@ -351,6 +369,93 @@ bool BenchDistanceKernels(const typing::TypingProgram& p, bool json,
   return true;
 }
 
+/// Ascending wall times of repeated Stage-1 runs and the last result.
+struct Stage1Runs {
+  std::vector<double> ms;
+  typing::PerfectTypingResult result;
+};
+
+/// Times `runs` calls of `stage1`, a Stage-1 engine over one graph.
+template <typename Fn>
+bool TimeStage1(int runs, Fn&& stage1, Stage1Runs* out) {
+  for (int r = 0; r < runs; ++r) {
+    util::WallTimer t;
+    util::StatusOr<typing::PerfectTypingResult> result = stage1();
+    out->ms.push_back(t.ElapsedMillis());
+    if (!result.ok()) return false;
+    out->result = *std::move(result);
+  }
+  std::sort(out->ms.begin(), out->ms.end());
+  return true;
+}
+
+/// `spec` with every type count times `scale`, generated with `seed`.
+util::StatusOr<graph::DataGraph> Scaled(gen::DatasetSpec spec, int scale,
+                                        uint64_t seed) {
+  for (auto& t : spec.types) t.count *= static_cast<size_t>(scale);
+  return gen::Generate(spec, seed);
+}
+
+/// Prints the stage1_gfp rows: the literal §4.1 program against
+/// PerfectTypingViaGfp. Returns false on a failed run or when the two
+/// results differ.
+bool BenchStage1Gfp(bool smoke, int runs) {
+  struct Dataset {
+    const char* name;
+    int scale;
+    bool before;  ///< also time the per-object oracle
+  };
+  const std::vector<Dataset> datasets =
+      smoke ? std::vector<Dataset>{{"dbg", 1, true}, {"db1", 1, true}}
+            : std::vector<Dataset>{{"dbg", 1, true},   {"dbg", 5, true},
+                                   {"dbg", 25, true},  {"db1", 10, true},
+                                   {"db1", 30, true},  {"db1", 100, false}};
+  for (const Dataset& ds : datasets) {
+    const bool dbg = std::strcmp(ds.name, "dbg") == 0;
+    auto g = dbg ? Scaled(gen::DbgSpec(), ds.scale, 4242)
+                 : Scaled(gen::Table1Datasets().front().spec, ds.scale, 42);
+    if (!g.ok()) return false;
+    auto bisim = typing::PerfectTypingViaHashRefinement(*g);
+    if (!bisim.ok()) return false;
+    Stage1Runs after;
+    if (!TimeStage1(runs, [&] { return typing::PerfectTypingViaGfp(*g); },
+                    &after)) {
+      return false;
+    }
+    Stage1Runs before;
+    if (ds.before) {
+      if (!TimeStage1(runs, [&] { return typing::CandidateGfpOracle(*g); },
+                      &before)) {
+        return false;
+      }
+      const typing::PerfectTypingResult& a = after.result;
+      const typing::PerfectTypingResult& b = before.result;
+      if (!(a.program == b.program && a.home == b.home &&
+            a.weight == b.weight)) {
+        std::fprintf(stderr,
+                     "FAIL: %s x%d: PerfectTypingViaGfp differs from the "
+                     "per-object GFP oracle\n",
+                     ds.name, ds.scale);
+        return false;
+      }
+    }
+    for (const Stage1Runs* r : {&before, &after}) {
+      if (r->ms.empty()) continue;
+      std::printf(
+          "{\"bench\":\"stage1_gfp\",\"variant\":\"%s\",\"dataset\":\"%s\","
+          "\"scale\":%d,\"objects\":%zu,\"types\":%zu,\"bisim_types\":%zu,"
+          "\"runs\":%zu,\"stage1_ms_median\":%.3f,\"stage1_ms_q1\":%.3f,"
+          "\"stage1_ms_q3\":%.3f,\"hardware_concurrency\":%u}\n",
+          r == &before ? "before" : "after", ds.name, ds.scale,
+          g->NumObjects(), r->result.program.NumTypes(),
+          bisim->program.NumTypes(), r->ms.size(), Quantile(r->ms, 0.5),
+          Quantile(r->ms, 0.25), Quantile(r->ms, 0.75),
+          std::thread::hardware_concurrency());
+    }
+  }
+  return true;
+}
+
 // Stage-2 spread rows and the kernel comparison stop at scale 25: the
 // before rows ran the n x n matrix clusterer, which needs 284 MB at
 // scale 100, and the all-pairs kernel scan grows the same way.
@@ -370,9 +475,7 @@ int Run(bool json, bool smoke, const std::string& variant) {
   std::vector<int> scales = smoke ? std::vector<int>{1, 5}
                                   : std::vector<int>{1, 5, 25, 100};
   for (int scale : scales) {
-    gen::DatasetSpec spec = gen::DbgSpec();
-    for (auto& t : spec.types) t.count *= static_cast<size_t>(scale);
-    auto g = gen::Generate(spec, 4242);
+    auto g = Scaled(gen::DbgSpec(), scale, 4242);
     if (!g.ok()) return 1;
 
     util::WallTimer total;
@@ -425,6 +528,7 @@ int Run(bool json, bool smoke, const std::string& variant) {
     }
     if (!BenchDistanceKernels(stage1->program, json, &kernel_lines)) return 1;
   }
+  if (json && !BenchStage1Gfp(smoke, kStage2Runs)) return 1;
   if (!json) {
     table.Print(std::cout);
     std::cout << "\n-- All-pairs distance kernel, sorted vs bit-parallel --\n";
@@ -438,9 +542,7 @@ int Run(bool json, bool smoke, const std::string& variant) {
   // data's irregularity).
   if (!smoke) {
     constexpr int kScale = 500;
-    gen::DatasetSpec spec = gen::DbgSpec();
-    for (auto& t : spec.types) t.count *= static_cast<size_t>(kScale);
-    auto g = gen::Generate(spec, 4242);
+    auto g = Scaled(gen::DbgSpec(), kScale, 4242);
     if (!g.ok()) return 1;
     util::WallTimer t1;
     auto stage1 = typing::PerfectTypingViaHashRefinement(*g);

@@ -189,13 +189,17 @@ class RuleParser {
     SCHEMEX_RETURN_IF_ERROR(Expect(Tok::kRParen, "expected ')'"));
     SCHEMEX_RETURN_IF_ERROR(Expect(Tok::kTurnstile, "expected ':-'"));
 
-    for (;;) {
-      SCHEMEX_RETURN_IF_ERROR(ParseAtom(&rule, &vars));
-      if (Peek().kind == Tok::kComma) {
+    // `true` alone is the empty body: PrintRule writes it for a type with
+    // no links. The token after a non-end token always exists.
+    if (Peek().kind == Tok::kIdent && Peek().text == "true" &&
+        toks_[i_ + 1].kind == Tok::kDot) {
+      Next();
+    } else {
+      for (;;) {
+        SCHEMEX_RETURN_IF_ERROR(ParseAtom(&rule, &vars));
+        if (Peek().kind != Tok::kComma) break;
         Next();
-        continue;
       }
-      break;
     }
     SCHEMEX_RETURN_IF_ERROR(Expect(Tok::kDot, "expected '.' ending rule"));
     program_.rules.push_back(std::move(rule));

@@ -25,6 +25,8 @@ namespace schemex::datalog {
 /// * Predicates are bare lowercase identifiers; `link` and `atomic` are
 ///   reserved for the EDBs.
 /// * A rule may span lines; the terminating '.' ends it.
+/// * `t(X) :- true.` is a rule with an empty body (a type with no links,
+///   as datalog::PrintRule writes it).
 ///
 /// Every IDB mentioned anywhere becomes a predicate of the program;
 /// predicates without rules have empty GFP/LFP extents.

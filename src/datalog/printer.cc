@@ -17,8 +17,7 @@ std::string VarName(Var v) {
 std::string PrintRule(const Rule& rule, const Program& program,
                       const graph::LabelInterner& labels) {
   std::string out = program.pred_names[rule.head_pred] + "(X) :- ";
-  if (rule.body.empty()) out += "true";  // not parseable; empty bodies are
-                                         // a degenerate internal case
+  if (rule.body.empty()) out += "true";  // ParseProgram reads it back
   for (size_t i = 0; i < rule.body.size(); ++i) {
     const Atom& a = rule.body[i];
     if (i > 0) out += ", ";

@@ -13,11 +13,8 @@ ExtractionCache MakeExtractionCache(const ExtractionResult& result,
   ExtractionCache cache;
   cache.perfect = result.perfect;
   cache.chosen_k = options.target_num_types;
-  cache.options.stage1 = options.stage1;
-  cache.options.decompose_roles = options.decompose_roles;
-  cache.options.psi = options.psi;
-  cache.options.enable_empty_type = options.enable_empty_type;
-  cache.options.recast = options.recast;
+  cache.options = options;
+  cache.options.check_cancel = nullptr;
   if (result.clustering_applied && !options.decompose_roles) {
     cache.clustering_cached = true;
     // Without roles, the Stage-2 inputs are exactly the perfect program
@@ -42,13 +39,8 @@ util::StatusOr<ExtractionResult> ReExtract(
 
   // Replay the cached run's configuration; only k and cancellation are
   // caller-controlled.
-  ExtractorOptions options;
-  options.stage1 = cache.options.stage1;
-  options.decompose_roles = cache.options.decompose_roles;
-  options.psi = cache.options.psi;
-  options.enable_empty_type = cache.options.enable_empty_type;
-  options.recast = cache.options.recast;
-  options.target_num_types = k == 0 ? cache.chosen_k : k;
+  ExtractorOptions options = cache.options;
+  if (k != 0) options.target_num_types = k;
   options.check_cancel = check_cancel;
 
   // Stage 1: incremental re-refinement from the cached partition. Only
@@ -85,7 +77,7 @@ util::StatusOr<ExtractionResult> ReExtract(
   internal::Stage2Reuse reuse;
   const internal::Stage2Reuse* reuse_ptr = nullptr;
   if (cache.clustering_cached &&
-      options.target_num_types == cache.chosen_k) {
+      options.target_num_types == cache.options.target_num_types) {
     reuse.program = &cache.stage2_program;
     reuse.weights = &cache.stage2_weights;
     reuse.clustering = &cache.clustering;

@@ -10,19 +10,6 @@
 
 namespace schemex::extract {
 
-/// The option fingerprint a cache was produced under. ReExtract rebuilds
-/// its ExtractorOptions from this, so the incremental run replays the
-/// cached run's configuration exactly (the bit-identity contract is
-/// against a cold extraction *with the same options*).
-struct ExtractionCacheOptions {
-  ExtractorOptions::Stage1Algorithm stage1 =
-      ExtractorOptions::Stage1Algorithm::kRefinement;
-  bool decompose_roles = false;
-  cluster::PsiKind psi = cluster::PsiKind::kPsi2;
-  bool enable_empty_type = true;
-  typing::RecastOptions recast;
-};
-
 /// Everything a finished extraction leaves behind for the next
 /// incremental one: the Stage-1 partition (the seed of incremental
 /// re-refinement) and, when clustering ran without role decomposition,
@@ -40,12 +27,18 @@ struct ExtractionCache {
   std::vector<uint32_t> stage2_weights;
   cluster::ClusteringResult clustering;
 
-  /// The k the cached run used (options.target_num_types, possibly
-  /// knee-selected by the service); re_extract without an explicit k
+  /// The options the cached run used, check_cancel cleared (the hook
+  /// belongs to that run's request). ReExtract replays them, so the
+  /// incremental run's configuration is the cached run's exactly (the
+  /// bit-identity contract is against a cold extraction *with the same
+  /// options*). target_num_types is the k the run used, possibly
+  /// knee-selected by the service; re_extract without an explicit k
   /// reuses it.
-  size_t chosen_k = 0;
+  ExtractorOptions options;
 
-  ExtractionCacheOptions options;
+  /// Equal to options.target_num_types. Only perfbench/driver/replay.cc,
+  /// which is frozen, still reads it.
+  size_t chosen_k = 0;
 };
 
 /// Captures the reusable state of a finished `Run(options)` extraction.

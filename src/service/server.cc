@@ -820,15 +820,10 @@ util::StatusOr<json::Value> Server::HandleReExtract(
                          DeadlineHook(deadline, "extract pipeline"), inc,
                          &rstats));
   const size_t chosen_k =
-      p.k != 0 ? static_cast<size_t>(p.k) : cache.chosen_k;
+      p.k != 0 ? static_cast<size_t>(p.k) : cache.options.target_num_types;
 
   // The options the run effectively replayed, for the fresh cache.
-  extract::ExtractorOptions opt;
-  opt.stage1 = cache.options.stage1;
-  opt.decompose_roles = cache.options.decompose_roles;
-  opt.psi = cache.options.psi;
-  opt.enable_empty_type = cache.options.enable_empty_type;
-  opt.recast = cache.options.recast;
+  extract::ExtractorOptions opt = cache.options;
   opt.target_num_types = chosen_k;
 
   catalog::Workspace next = *snapshot;

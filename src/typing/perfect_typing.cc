@@ -12,8 +12,8 @@ namespace schemex::typing {
 namespace {
 
 /// Builds the local picture of complex object `o` where complex neighbors
-/// are mapped through `class_of` (candidate ids in the GFP method, block
-/// ids in refinement) and atomic neighbors become kAtomicType targets.
+/// are mapped through `class_of` (class ids of a finished partition) and
+/// atomic neighbors become kAtomicType targets.
 TypeSignature LocalPicture(graph::GraphView g, graph::ObjectId o,
                            const std::vector<TypeId>& class_of) {
   std::vector<TypedLink> links;
@@ -81,73 +81,39 @@ size_t PerfectTypingResult::NumComplexObjects() const {
 
 util::StatusOr<PerfectTypingResult> PerfectTypingViaGfp(
     graph::GraphView g, const ExecOptions& options) {
-  const size_t n = g.NumObjects();
+  // The refinement's program is Q_D quotiented by bisimulation: bisimilar
+  // objects simulate each other in both directions, so their candidate
+  // types have equal GFP extents, and one candidate per class suffices.
+  SCHEMEX_ASSIGN_OR_RETURN(PerfectTypingResult bisim,
+                           PerfectTypingViaHashRefinement(g, options));
+  SCHEMEX_ASSIGN_OR_RETURN(Extents m,
+                           ComputeGfp(bisim.program, g, nullptr, options));
 
-  // Candidate ids: dense over complex objects; candidates double as type
-  // targets in Q_D's rules, so map every object to its candidate id.
-  std::vector<TypeId> candidate(n, kInvalidType);
-  std::vector<graph::ObjectId> complex_objects;
-  for (graph::ObjectId o = 0; o < n; ++o) {
-    if (g.IsComplex(o)) {
-      candidate[o] = static_cast<TypeId>(complex_objects.size());
-      complex_objects.push_back(o);
-    }
-  }
-
-  // Step 1: Q_D — one rule per complex object: its local picture.
-  TypingProgram qd;
-  for (graph::ObjectId o : complex_objects) {
-    qd.AddType(util::StringPrintf("cand%u", o), LocalPicture(g, o, candidate));
-  }
-  SCHEMEX_RETURN_IF_ERROR(options.Poll());
-
-  // Step 2: greatest fixpoint of Q_D.
-  SCHEMEX_ASSIGN_OR_RETURN(Extents m, ComputeGfp(qd, g, nullptr, options));
-
-  // Step 3: group candidate types by extent equality. Hash and popcount
-  // every extent once up front; within a hash bucket, candidates compare
-  // popcounts before falling back to full word-level equality (which
-  // itself stops at the first differing word).
-  const size_t num_cand = complex_objects.size();
-  std::vector<uint64_t> extent_hash(num_cand);
-  std::vector<size_t> extent_count(num_cand);
-  for (size_t t = 0; t < num_cand; ++t) {
-    extent_hash[t] = m.per_type[t].Hash();
-    extent_count[t] = m.per_type[t].Count();
-  }
-  std::unordered_map<uint64_t, std::vector<TypeId>> buckets;
-  buckets.reserve(num_cand);
-  std::vector<TypeId> class_of_candidate(num_cand, kInvalidType);
+  // Merge classes with equal extents (Remark 4.1), numbered by first
+  // occurrence in class order. Classes are numbered by first occurrence
+  // in object order, so the merged classes get the numbers the
+  // per-object candidates would. The hash only routes to a bucket.
+  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
+  std::vector<TypeId> merged(m.NumTypes(), kInvalidType);
   size_t num_classes = 0;
-  for (size_t t = 0; t < num_cand; ++t) {
-    TypeId tid = static_cast<TypeId>(t);
-    TypeId found = kInvalidType;
-    std::vector<TypeId>& bucket = buckets[extent_hash[t]];
-    for (TypeId other : bucket) {
-      if (extent_count[static_cast<size_t>(other)] != extent_count[t]) {
-        continue;
-      }
-      if (m.per_type[static_cast<size_t>(other)] ==
-          m.per_type[static_cast<size_t>(tid)]) {
-        found = class_of_candidate[static_cast<size_t>(other)];
+  for (size_t t = 0; t < m.NumTypes(); ++t) {
+    std::vector<size_t>& bucket = buckets[m.per_type[t].Hash()];
+    for (size_t other : bucket) {
+      if (m.per_type[other] == m.per_type[t]) {
+        merged[t] = merged[other];
         break;
       }
     }
-    if (found == kInvalidType) {
-      found = static_cast<TypeId>(num_classes++);
-      bucket.push_back(tid);
-    }
-    class_of_candidate[t] = found;
-  }
-
-  // Rewrite: class of each object = class of its candidate.
-  std::vector<TypeId> class_of(n, kInvalidType);
-  for (graph::ObjectId o = 0; o < n; ++o) {
-    if (g.IsComplex(o)) {
-      class_of[o] = class_of_candidate[static_cast<size_t>(candidate[o])];
+    if (merged[t] == kInvalidType) {
+      merged[t] = static_cast<TypeId>(num_classes++);
+      bucket.push_back(t);
     }
   }
-  return internal::AssembleRefinementResult(g, class_of, num_classes, "type");
+  for (TypeId& home : bisim.home) {
+    if (home != kInvalidType) home = merged[static_cast<size_t>(home)];
+  }
+  return internal::AssembleRefinementResult(g, bisim.home, num_classes,
+                                            "type");
 }
 
 util::StatusOr<PerfectTypingResult> PerfectTypingViaHashRefinement(

@@ -28,16 +28,17 @@ struct PerfectTypingResult {
   size_t NumComplexObjects() const;
 };
 
-/// The paper's §4.1 algorithm, literally:
-///  1. build the candidate program Q_D with one type per complex object
-///     whose rule is the object's local picture,
-///  2. compute the greatest fixpoint M of Q_D,
-///  3. merge candidate types with equal extents (Remark 4.1) and rewrite
-///     one representative rule per equivalence class.
-///
-/// Exact but O(N^2)-ish; intended for small/medium databases and as the
-/// reference the refinement algorithm is tested against. `options`
-/// threads cancellation through the GFP engine underneath.
+/// The paper's §4.1 partition: candidate types (one per complex object,
+/// its local picture) merged when their GFP extents are equal (Remark
+/// 4.1), one representative rule per class. Computed over one candidate
+/// per bisimulation class instead of one per object: the hash
+/// refinement's program (Q_D quotiented by bisimulation) gets one GFP
+/// (k extents of n bits for k classes, not n^2), and classes with equal
+/// extents merge, numbered by first occurrence in class order. Bisimilar
+/// objects simulate each other in both directions, so their candidates
+/// have equal extents, and the result equals the literal per-object
+/// algorithm's bit for bit (tests/gfp_oracle.h). `options` reaches both
+/// engines; like the refinement, fails at 2^31 or more labels.
 util::StatusOr<PerfectTypingResult> PerfectTypingViaGfp(
     graph::GraphView g, const ExecOptions& options = {});
 

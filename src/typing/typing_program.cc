@@ -79,18 +79,25 @@ datalog::Program TypingProgram::ToDatalog() const {
 util::StatusOr<TypingProgram> TypingProgram::FromDatalog(
     const datalog::Program& program) {
   SCHEMEX_RETURN_IF_ERROR(program.Validate());
+  // Types are numbered in rule order, the order ToDatalog emits them,
+  // then body-only predicates. Predicate ids follow first mention, which
+  // differs as soon as a rule names a type whose rule comes later.
   TypingProgram out;
-  std::vector<bool> seen_head(program.num_preds(), false);
-  for (const std::string& name : program.pred_names) {
-    out.AddType(name, TypeSignature());
-  }
+  std::vector<TypeId> type_of(program.num_preds(), kInvalidType);
   for (const datalog::Rule& rule : program.rules) {
-    if (seen_head[static_cast<size_t>(rule.head_pred)]) {
+    TypeId& t = type_of[static_cast<size_t>(rule.head_pred)];
+    if (t != kInvalidType) {
       return util::Status::InvalidArgument(
           "typing programs allow one rule per type");
     }
-    seen_head[static_cast<size_t>(rule.head_pred)] = true;
-
+    t = out.AddType(program.pred_names[rule.head_pred], TypeSignature());
+  }
+  for (size_t p = 0; p < program.num_preds(); ++p) {
+    if (type_of[p] == kInvalidType) {
+      type_of[p] = out.AddType(program.pred_names[p], TypeSignature());
+    }
+  }
+  for (const datalog::Rule& rule : program.rules) {
     // Each non-head variable must be "used" by exactly one link atom
     // anchored at the head var plus at most one classifying atom
     // (idb or atomic). Reconstruct typed links variable by variable.
@@ -151,12 +158,12 @@ util::StatusOr<TypingProgram> TypingProgram::FromDatalog(
         }
         links.push_back(TypedLink::OutAtomic(link.label));
       } else {
-        TypeId target = static_cast<TypeId>(cls.pred);
+        TypeId target = type_of[static_cast<size_t>(cls.pred)];
         links.push_back(outgoing ? TypedLink::Out(link.label, target)
                                  : TypedLink::In(link.label, target));
       }
     }
-    out.type(static_cast<TypeId>(rule.head_pred)).signature =
+    out.type(type_of[static_cast<size_t>(rule.head_pred)]).signature =
         TypeSignature::FromLinks(std::move(links));
   }
   return out;

@@ -58,7 +58,9 @@ class TypingProgram {
   /// Lifts a datalog program in the restricted form back into a
   /// TypingProgram; fails with InvalidArgument if any rule is outside the
   /// paper's typed-link fragment (multiple rules per head, shared body
-  /// variables, non-head-anchored atoms...).
+  /// variables, non-head-anchored atoms...). Type ids follow rule order,
+  /// so FromDatalog(p.ToDatalog()) == p; predicates with no rule come
+  /// after, with empty signatures.
   static util::StatusOr<TypingProgram> FromDatalog(
       const datalog::Program& program);
 

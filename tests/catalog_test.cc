@@ -11,7 +11,10 @@
 #include "catalog/workspace.h"
 #include "extract/extractor.h"
 #include "gen/dbg.h"
+#include "gen/spec.h"
 #include "graph/graph_io.h"
+#include "query/path_query.h"
+#include "query/query_index.h"
 #include "snapshot/snapshot.h"
 #include "tests/test_util.h"
 #include "typing/gfp.h"
@@ -95,6 +98,70 @@ TEST_F(CatalogTest, SaveLoadRoundTrip) {
                        typing::ComputeGfp(back.program, *back.graph));
   for (size_t t = 0; t < m1.per_type.size(); ++t) {
     EXPECT_EQ(m1.per_type[t].Count(), m2.per_type[t].Count());
+  }
+}
+
+TEST_F(CatalogTest, SavedSchemaLoadsWithItsSavedTypeIds) {
+  // schema.dl lists one rule per type in type-id order and assignment.tsv
+  // stores those ids, so a load must number the types in rule order.
+  // Numbering them by first mention would re-type objects, without an
+  // error, whenever a rule names a type whose rule comes later.
+  gen::DatasetSpec spec = gen::DbgSpec();
+  for (gen::TypeSpec& t : spec.types) t.count *= 5;
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 4242));
+  extract::ExtractorOptions opt;
+  opt.target_num_types = 6;
+  ASSERT_OK_AND_ASSIGN(extract::ExtractionResult r,
+                       extract::SchemaExtractor(opt).Run(g));
+  Workspace ws;
+  ws.SetGraph(g);
+  ws.program = r.final_program;
+  ws.assignment = r.recast.assignment;
+  ASSERT_OK(SaveWorkspace(ws, dir_.string()));
+
+  LoadInfo info;
+  ASSERT_OK_AND_ASSIGN(Workspace back, LoadWorkspace(dir_.string(), &info));
+  EXPECT_TRUE(info.from_snapshot) << info.snapshot_status.ToString();
+  EXPECT_EQ(back.program, ws.program);
+  size_t retyped = 0;
+  for (graph::ObjectId o = 0; o < g.NumObjects(); ++o) {
+    std::vector<std::string> want, got;
+    for (typing::TypeId t : ws.assignment.TypesOf(o)) {
+      want.push_back(ws.program.type(t).name);
+    }
+    for (typing::TypeId t : back.assignment.TypesOf(o)) {
+      got.push_back(back.program.type(t).name);
+    }
+    if (want != got) ++retyped;
+  }
+  EXPECT_EQ(retyped, 0u);
+
+  // Guided queries start from type extents, so a renumbering shows up as
+  // wrong answers.
+  query::QueryIndex saved_index(ws.program, ws.assignment);
+  query::QueryIndex loaded_index(back.program, back.assignment);
+  for (const char* text :
+       {"project.name", "project_member.name", "author.email", "*.email"}) {
+    SCOPED_TRACE(text);
+    ASSERT_OK_AND_ASSIGN(query::PathQuery q, query::ParsePathQuery(text));
+    ASSERT_OK_AND_ASSIGN(std::vector<graph::ObjectId> want,
+                         saved_index.Evaluate(ws.View(), q));
+    ASSERT_OK_AND_ASSIGN(std::vector<graph::ObjectId> got,
+                         loaded_index.Evaluate(back.View(), q));
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(got, want);
+  }
+
+  // Saving what was loaded writes the same four files.
+  const fs::path resaved = dir_ / "resaved";
+  ASSERT_OK(SaveWorkspace(back, resaved.string()));
+  for (const char* name :
+       {"graph.sxg", "schema.dl", "assignment.tsv", "snapshot.bin"}) {
+    SCOPED_TRACE(name);
+    std::ifstream in(resaved / name, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    EXPECT_TRUE(bytes.str() == Slurp(name));
   }
 }
 

@@ -8,6 +8,7 @@
 #include "gen/random_graph.h"
 #include "gen/spec.h"
 #include "gen/table1.h"
+#include "tests/gfp_oracle.h"
 #include "tests/test_util.h"
 #include "typing/perfect_typing.h"
 
@@ -149,7 +150,8 @@ TEST(PerfectTypingTest, IsolatedObjectsShareOneType) {
 
 TEST(PerfectTypingTest, CyclesHandledByBothAlgorithms) {
   // Self-loop vs 2-cycle: locally indistinguishable under set-based
-  // pictures; both algorithms must agree and terminate.
+  // pictures; refinement and the literal §4.1 program (the oracle, which
+  // does not start from refinement's classes) must agree and terminate.
   graph::GraphBuilder b;
   ASSERT_OK(b.Edge("s", "next", "s"));
   ASSERT_OK(b.Edge("p", "next", "q"));
@@ -157,7 +159,7 @@ TEST(PerfectTypingTest, CyclesHandledByBothAlgorithms) {
   util::Status st;
   graph::DataGraph g = std::move(b).Build(&st);
   ASSERT_OK(st);
-  ASSERT_OK_AND_ASSIGN(PerfectTypingResult via_gfp, PerfectTypingViaGfp(g));
+  ASSERT_OK_AND_ASSIGN(PerfectTypingResult via_gfp, CandidateGfpOracle(g));
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult via_ref,
                        PerfectTypingViaHashRefinement(g));
   EXPECT_EQ(via_gfp.program.NumTypes(), 1u);
@@ -165,8 +167,8 @@ TEST(PerfectTypingTest, CyclesHandledByBothAlgorithms) {
 }
 
 TEST(PerfectTypingTest, AlgorithmsAgreeOnRandomGraphs) {
-  // Property: on a spread of random graphs the GFP-merge partition and
-  // the refinement partition coincide.
+  // Property: on a spread of random graphs the GFP-merge partition of
+  // the literal §4.1 program and the refinement partition coincide.
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     gen::RandomGraphOptions opt;
     opt.num_complex = 40;
@@ -175,7 +177,7 @@ TEST(PerfectTypingTest, AlgorithmsAgreeOnRandomGraphs) {
     opt.num_labels = 4;
     opt.seed = seed;
     graph::DataGraph g = gen::RandomGraph(opt);
-    ASSERT_OK_AND_ASSIGN(PerfectTypingResult a, PerfectTypingViaGfp(g));
+    ASSERT_OK_AND_ASSIGN(PerfectTypingResult a, CandidateGfpOracle(g));
     ASSERT_OK_AND_ASSIGN(PerfectTypingResult b,
                          PerfectTypingViaHashRefinement(g));
     EXPECT_EQ(a.program.NumTypes(), b.program.NumTypes()) << "seed " << seed;
@@ -192,7 +194,7 @@ TEST(PerfectTypingTest, AlgorithmsAgreeOnStructuredData) {
                               {"y", gen::kAtomicTarget, 0.5}}});
   spec.types.push_back(gen::TypeSpec{"b", 20, {{"z", 0, 0.8}}});
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 11));
-  ASSERT_OK_AND_ASSIGN(PerfectTypingResult a, PerfectTypingViaGfp(g));
+  ASSERT_OK_AND_ASSIGN(PerfectTypingResult a, CandidateGfpOracle(g));
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult b,
                        PerfectTypingViaHashRefinement(g));
   EXPECT_EQ(Partition(a.home), Partition(b.home));
@@ -240,16 +242,18 @@ bool Refines(const std::vector<TypeId>& fine,
 TEST(PerfectTypingTest, HashRefinementRefinesGfpOnTable1) {
   // Hash refinement computes bisimulation classes; §4.1 merges candidate
   // types on extent equality (Remark 4.1). GFP extents are closed under
-  // bisimulation, so the hash partition always refines the GFP one. They
-  // are equal on DB1-DB6 and on DBG; on DB7 and DB8 the GFP engine also
-  // merges objects that are not bisimilar (two of its classes each hold
-  // two bisimulation classes).
+  // bisimulation, so the hash partition always refines the GFP one. The
+  // GFP side is the literal per-object program (tests/gfp_oracle.h), not
+  // PerfectTypingViaGfp, which merges the hash classes and so is refined
+  // by them by construction. They are equal on DB1-DB6 and on DBG;
+  // on DB7 and DB8 the GFP merge also joins objects that are not
+  // bisimilar (two of its classes each hold two bisimulation classes).
   for (const gen::Table1Entry& entry : gen::Table1Datasets()) {
     SCOPED_TRACE(entry.db_name);
     ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeTable1Database(entry));
     ASSERT_OK_AND_ASSIGN(PerfectTypingResult hash,
                          PerfectTypingViaHashRefinement(g));
-    ASSERT_OK_AND_ASSIGN(PerfectTypingResult gfp, PerfectTypingViaGfp(g));
+    ASSERT_OK_AND_ASSIGN(PerfectTypingResult gfp, CandidateGfpOracle(g));
     EXPECT_TRUE(Refines(hash.home, gfp.home));
     const bool equal = Partition(hash.home) == Partition(gfp.home);
     EXPECT_EQ(equal, entry.db_name != "DB7" && entry.db_name != "DB8");
@@ -260,8 +264,85 @@ TEST(PerfectTypingTest, HashRefinementRefinesGfpOnTable1) {
   ASSERT_OK_AND_ASSIGN(graph::DataGraph dbg, gen::MakeDbgDataset());
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult hash,
                        PerfectTypingViaHashRefinement(dbg));
-  ASSERT_OK_AND_ASSIGN(PerfectTypingResult gfp, PerfectTypingViaGfp(dbg));
+  ASSERT_OK_AND_ASSIGN(PerfectTypingResult gfp, CandidateGfpOracle(dbg));
   EXPECT_EQ(Partition(hash.home), Partition(gfp.home));
+}
+
+/// Runs PerfectTypingViaGfp and the literal per-object §4.1 program
+/// (tests/gfp_oracle.h) and asserts the results are identical field for
+/// field: class numbering, program (names and signatures), homes and
+/// weights. Returns the number of bisimulation classes the GFP merge
+/// joined, so callers can check that the merge step was exercised.
+size_t ExpectGfpMatchesOracle(const graph::DataGraph& g,
+                              const ExecOptions& options = {}) {
+  util::StatusOr<PerfectTypingResult> want = CandidateGfpOracle(g);
+  util::StatusOr<PerfectTypingResult> got = PerfectTypingViaGfp(g, options);
+  util::StatusOr<PerfectTypingResult> bisim =
+      PerfectTypingViaHashRefinement(g);
+  EXPECT_TRUE(want.ok() && got.ok() && bisim.ok());
+  if (!want.ok() || !got.ok() || !bisim.ok()) return 0;
+  EXPECT_EQ(got->program, want->program);
+  EXPECT_EQ(got->home, want->home);
+  EXPECT_EQ(got->weight, want->weight);
+  return bisim->program.NumTypes() - got->program.NumTypes();
+}
+
+TEST(GfpOracleTest, MatchesOnPaperFiguresAndTable1) {
+  ExpectGfpMatchesOracle(test::MakeFigure4Database());
+  ExpectGfpMatchesOracle(test::MakeFigure2Database());
+  size_t merged = 0;
+  for (const gen::Table1Entry& entry : gen::Table1Datasets()) {
+    SCOPED_TRACE(entry.db_name);
+    ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeTable1Database(entry));
+    merged += ExpectGfpMatchesOracle(g);
+  }
+  // DB7 and DB8 each merge two pairs of bisimulation classes.
+  EXPECT_EQ(merged, 4u);
+}
+
+TEST(GfpOracleTest, MatchesOnDbgSeedsAndScale) {
+  for (uint64_t seed : {42, 1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset(seed));
+    ExpectGfpMatchesOracle(g);
+  }
+  gen::DatasetSpec spec = gen::DbgSpec();
+  for (auto& t : spec.types) t.count *= 5;
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 4242));
+  ExpectGfpMatchesOracle(g);
+}
+
+TEST(GfpOracleTest, MatchesOnRandomGraphs) {
+  // 120 graphs over a spread of sizes, densities, label counts and
+  // atomic shares; sparse graphs with few labels leave many objects with
+  // non-bisimilar but mutually simulating neighbourhoods, which is where
+  // the extent merge joins classes.
+  size_t merged = 0;
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    SCOPED_TRACE(seed);
+    gen::RandomGraphOptions opt;
+    opt.num_complex = 20 + seed % 5 * 15;
+    opt.num_atomic = 10 + seed % 3 * 10;
+    opt.num_edges = opt.num_complex * (1 + seed % 4) / 2 + 10;
+    opt.num_labels = 1 + seed % 4;
+    opt.atomic_target_fraction = 0.2 + 0.2 * static_cast<double>(seed % 4);
+    opt.seed = seed;
+    merged += ExpectGfpMatchesOracle(gen::RandomGraph(opt));
+  }
+  EXPECT_GT(merged, 0u);
+}
+
+TEST(GfpOracleTest, MatchesUnderForcedHashCollisions) {
+  // Every refinement signature hashes to one bucket, so the exact
+  // collision fallback alone carries the bisimulation the merge starts
+  // from.
+  ExecOptions exec;
+  exec.debug_force_hash_collisions = true;
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph dbg, gen::MakeDbgDataset());
+  ExpectGfpMatchesOracle(dbg, exec);
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph db7,
+                       gen::MakeTable1Database(gen::Table1Datasets()[6]));
+  EXPECT_EQ(ExpectGfpMatchesOracle(db7, exec), 2u);
 }
 
 }  // namespace

@@ -51,6 +51,72 @@ TEST(ProgramIoTest, ExtractedSchemaSurvivesSaveLoad) {
   }
 }
 
+TEST(ProgramIoTest, TypeIdsFollowRuleOrder) {
+  // alpha's rule names gamma before beta's rule appears. Predicates are
+  // numbered by first mention, types by rule, so the read program keeps
+  // the written ids and writes back the same text.
+  graph::LabelInterner labels;
+  graph::LabelId a = labels.Intern("a");
+  graph::LabelId b = labels.Intern("b");
+  TypingProgram p;
+  TypeId alpha = p.AddType("alpha", {});
+  TypeId beta = p.AddType("beta", {});
+  TypeId gamma = p.AddType("gamma", {});
+  p.type(alpha).signature = TypeSignature::FromLinks(
+      {TypedLink::Out(a, gamma), TypedLink::Out(b, beta)});
+  p.type(beta).signature = TypeSignature::FromLinks({TypedLink::In(b, alpha)});
+  p.type(gamma).signature = TypeSignature::FromLinks(
+      {TypedLink::In(a, alpha), TypedLink::OutAtomic(b)});
+  const std::string text = WriteTypingProgram(p, labels);
+  ASSERT_OK_AND_ASSIGN(TypingProgram back, ReadTypingProgram(text, &labels));
+  EXPECT_EQ(back, p);
+  EXPECT_EQ(WriteTypingProgram(back, labels), text);
+
+  // A predicate with no rule comes after every ruled type.
+  ASSERT_OK_AND_ASSIGN(
+      TypingProgram open,
+      ReadTypingProgram("s(X) :- link(X, Y, a), z(Y).\n"
+                        "t(X) :- link(X, Y, b), atomic(Y).\n",
+                        &labels));
+  ASSERT_EQ(open.NumTypes(), 3u);
+  EXPECT_EQ(open.type(0).name, "s");
+  EXPECT_EQ(open.type(1).name, "t");
+  EXPECT_EQ(open.type(2).name, "z");
+  EXPECT_EQ(open.type(0).signature,
+            TypeSignature::FromLinks({TypedLink::Out(a, 2)}));
+  EXPECT_TRUE(open.type(2).signature.empty());
+}
+
+TEST(ProgramIoTest, EmptyBodyRoundTrips) {
+  // A type with no links prints as `true`, which reads back as the empty
+  // body; `true` followed by an argument is still an ordinary predicate.
+  graph::LabelInterner labels;
+  graph::LabelId a = labels.Intern("a");
+  TypingProgram p;
+  TypeId lonely = p.AddType("lonely", {});
+  TypeId holder = p.AddType("holder", {});
+  p.type(holder).signature =
+      TypeSignature::FromLinks({TypedLink::Out(a, lonely)});
+  const std::string text = WriteTypingProgram(p, labels);
+  EXPECT_EQ(text.substr(0, text.find('\n')), "lonely(X) :- true.");
+  ASSERT_OK_AND_ASSIGN(TypingProgram back, ReadTypingProgram(text, &labels));
+  EXPECT_EQ(back, p);
+
+  ASSERT_OK_AND_ASSIGN(
+      TypingProgram named,
+      ReadTypingProgram("t(X) :- link(X, Y, a), true(Y).\n"
+                        "true(X) :- true.\n",
+                        &labels));
+  ASSERT_EQ(named.NumTypes(), 2u);
+  EXPECT_EQ(named.type(1).name, "true");
+  EXPECT_EQ(named.type(0).signature,
+            TypeSignature::FromLinks({TypedLink::Out(a, 1)}));
+  // `true` is a whole body, not a conjunct.
+  EXPECT_FALSE(
+      ReadTypingProgram("t(X) :- true, link(X, Y, a), atomic(Y).", &labels)
+          .ok());
+}
+
 TEST(ProgramIoTest, RejectsNonFragmentText) {
   graph::LabelInterner labels;
   // Two rules for one head is legal datalog but not a typing program.

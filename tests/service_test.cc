@@ -13,6 +13,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "catalog/workspace.h"
@@ -21,6 +22,7 @@
 #include "gen/dbg.h"
 #include "gen/random_graph.h"
 #include "gen/spec.h"
+#include "gen/table1.h"
 #include "json/json.h"
 #include "service/request.h"
 #include "tests/test_util.h"
@@ -168,6 +170,87 @@ TEST_F(ServiceTest, ExtractVerbReplacesSchema) {
   ASSERT_OK_AND_ASSIGN(catalog::Workspace back,
                        catalog::LoadWorkspace(dir_.string()));
   EXPECT_EQ(back.program.NumTypes(), 6u);
+}
+
+TEST_F(ServiceTest, SavedSchemaWithALinklessTypeLoads) {
+  // A complex object without links gets a type with an empty body, which
+  // schema.dl writes as `typeN(X) :- true.`; load_workspace must read it
+  // back instead of failing the whole workspace on a parse error.
+  Server server;
+  ASSERT_OK(server.InstallWorkspace("dbg", MakeDbgWorkspace()));
+  Request delta = MakeRequest(Verb::kApplyDelta);
+  delta.apply_delta.workspace = "dbg";
+  DeltaOp lonely;
+  lonely.op = "add_object";
+  delta.apply_delta.ops = {lonely};
+  ASSERT_OK(server.Handle(delta).status);
+
+  // k above the Stage-1 type count keeps every perfect type, the empty
+  // one included.
+  Request extract = MakeRequest(Verb::kExtract);
+  extract.extract.workspace = "dbg";
+  extract.extract.k = 1000;
+  extract.extract.save_dir = dir_.string();
+  Response resp = server.Handle(extract);
+  ASSERT_OK(resp.status);
+  const double num_types = Field(resp.result, "num_final_types").AsNumber();
+  std::string schema;
+  {
+    std::ifstream in(dir_ / "schema.dl", std::ios::binary);
+    schema.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  }
+  EXPECT_NE(schema.find("(X) :- true.\n"), std::string::npos);
+
+  Request load = MakeRequest(Verb::kLoadWorkspace);
+  load.load.name = "reloaded";
+  load.load.dir = dir_.string();
+  resp = server.Handle(load);
+  ASSERT_OK(resp.status);
+  Response list = server.Handle(MakeRequest(Verb::kListWorkspaces));
+  ASSERT_OK(list.status);
+  const Value& saved = Field(list.result, "workspaces").AsArray().at(0);
+  for (const char* key : {"objects", "edges", "num_types", "typed_objects"}) {
+    EXPECT_EQ(Field(resp.result, key).AsNumber(), Field(saved, key).AsNumber())
+        << key;
+  }
+  EXPECT_EQ(Field(resp.result, "num_types").AsNumber(), num_types);
+
+  // The loaded schema prints back to the same bytes.
+  ASSERT_OK_AND_ASSIGN(catalog::Workspace back,
+                       catalog::LoadWorkspace(dir_.string()));
+  EXPECT_EQ(typing::WriteTypingProgram(back.program, back.View().labels()),
+            schema);
+}
+
+TEST_F(ServiceTest, GfpStage1FitsTheBudgetOnDb1x30) {
+  // `"stage1": "gfp"` merges bisimulation classes by GFP extent: k·n
+  // bits of extents for k classes (40 here), not one extent per object
+  // (n^2 bits, ~13 s on this 30k-object tenant).
+  gen::DatasetSpec spec = gen::Table1Datasets().front().spec;
+  for (gen::TypeSpec& t : spec.types) t.count *= 30;
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 42));
+  catalog::Workspace ws;
+  ws.SetGraph(g);
+  ws.assignment = typing::TypeAssignment(ws.graph->NumObjects());
+  Server server;
+  ASSERT_OK(server.InstallWorkspace("db1x30", std::move(ws)));
+
+  std::map<std::string, double> perfect_types;
+  for (const char* stage1 : {"refinement", "gfp"}) {
+    SCOPED_TRACE(stage1);
+    Request req = MakeRequest(Verb::kExtract);
+    req.extract.workspace = "db1x30";
+    req.extract.k = 10;
+    req.extract.stage1 = stage1;
+    req.timeout_s = 2;
+    Response resp = server.Handle(req);
+    ASSERT_OK(resp.status);
+    perfect_types[stage1] =
+        Field(resp.result, "num_perfect_types").AsNumber();
+  }
+  EXPECT_EQ(perfect_types["gfp"], 40);
+  EXPECT_EQ(perfect_types["gfp"], perfect_types["refinement"]);
 }
 
 TEST_F(ServiceTest, ExtractAutoKPicksKnee) {
@@ -503,6 +586,48 @@ TEST_F(ServiceTest, TypeVerbWithInlineProgram) {
   ASSERT_OK(qresp.status);
   EXPECT_TRUE(Field(qresp.result, "guided").AsBool());
   EXPECT_EQ(Field(qresp.result, "count").AsNumber(), 2);
+}
+
+TEST_F(ServiceTest, TypeVerbNumbersInlineTypesInRuleOrder) {
+  // `firm` is mentioned before its rule and `thing` has no rule at all:
+  // types are numbered by rule head, body-only predicates last, both in
+  // the reply and in the committed schema.
+  Server server;
+  catalog::Workspace ws;
+  ws.SetGraph(test::MakeFigure2Database());
+  ws.assignment = typing::TypeAssignment(ws.graph->NumObjects());
+  ASSERT_OK(server.InstallWorkspace("fig2", std::move(ws)));
+
+  Request req = MakeRequest(Verb::kType);
+  req.type.workspace = "fig2";
+  req.type.program = R"(
+    person(X) :- link(X, Y, "is-manager-of"), firm(Y),
+                 link(X, Z, "name"), atomic(Z).
+    named(X)  :- link(X, Z, "name"), atomic(Z).
+    firm(X)   :- link(X, Y, "is-managed-by"), thing(Y),
+                 link(X, Z, "name"), atomic(Z).
+  )";
+  req.type.commit = true;
+  const std::vector<std::pair<std::string, double>> want = {
+      {"person", 2}, {"named", 4}, {"firm", 2}, {"thing", 4}};
+  auto types_of = [](const Response& resp) {
+    std::vector<std::pair<std::string, double>> out;
+    for (const Value& t : Field(resp.result, "types").AsArray()) {
+      out.emplace_back(Field(t, "name").AsString(),
+                       Field(t, "extent").AsNumber());
+    }
+    return out;
+  };
+  Response resp = server.Handle(req);
+  ASSERT_OK(resp.status);
+  EXPECT_EQ(types_of(resp), want);
+
+  // `type` without a program reads the committed schema back.
+  Request again = MakeRequest(Verb::kType);
+  again.type.workspace = "fig2";
+  resp = server.Handle(again);
+  ASSERT_OK(resp.status);
+  EXPECT_EQ(types_of(resp), want);
 }
 
 TEST_F(ServiceTest, TypeVerbWithoutSchemaFails) {
