@@ -9,7 +9,7 @@
 //   --json    emit one machine-consumable JSON row per measurement
 //             instead of tables. Row schemas (trajectory diffs parse
 //             these; keep them stable):
-//               pipeline row (scales 1, 5, 25, 100) —
+//               pipeline row (scales 1, 5, 10, 25, 100) —
 //                 {"bench":"scale","algo":"hash","objects":N,
 //                  "edges":N,"stage1_types":N,"threads":1,"stage1_ms":F,
 //                  "cluster_ms":F,"recast_ms":F,"apply_delta_ms":F,
@@ -21,18 +21,24 @@
 //               stage1-only row (scale 500) —
 //                 {"bench":"scale","algo":"hash","objects":N,
 //                  "edges":N,"threads":1,"stage1_ms":F,"speedup":1.000}
-//               stage2_greedy row (scales 1, 5, 25) —
+//               stage2_greedy row (scales 1, 5, 10, 25) —
 //                 {"bench":"stage2_greedy","variant":V,"types":N,
 //                  "runs":R,"cluster_ms_median":F,"cluster_ms_q1":F,
 //                  "cluster_ms_q3":F,"cluster_ms_min":F,
-//                  "cluster_ms_max":F,"hardware_concurrency":N}
+//                  "cluster_ms_max":F,"hardware_concurrency":N,
+//                  "rows":N,"rescans":N,"rescans_own_body":N,
+//                  "rescans_dest_died":N,"rescans_dest_changed":N,
+//                  "rescans_is_dest":N,"rescans_dest_weight":N,
+//                  "postings_walked":N,"candidates_priced":N}
 //                 R cold ClusterTypes runs (psi2, k = 6) over the
 //                 scale's Stage-1 program; quartiles interpolate
-//                 linearly between the sorted runs.
-//               cluster_kernel row (scales 1, 5, 25) —
+//                 linearly between the sorted runs. The counters are
+//                 one run's ClusteringCounters (every run repeats them);
+//                 rows = types (the initial pass) + rescans.
+//               cluster_kernel row (scales 1, 5, 10, 25) —
 //                 {"bench":"cluster_kernel","kernel":"sorted"|"bit",
 //                  "types":N,"pairs":N,"reps":N,"ms":F,"speedup":F}
-//               knee_sweep row (max_k 20 at scales 1, 5, 25; max_k 0
+//               knee_sweep row (max_k 20 at scales 1, 5, 10, 25; max_k 0
 //               at scales 1, 5) —
 //                 {"bench":"knee_sweep","scale":S,"types":N,"max_k":M,
 //                  "points":P,"knee_k":K,"runs":R,"sweep_ms_median":F,
@@ -68,6 +74,11 @@
 //             "current"). Before/after rows come from this file built
 //             once per library version, run alternately.
 //
+// Before any row prints, --json checks ClusterTypes against the naive
+// reference (tests/greedy_oracle.h) on DBG x1 for every psi, with and
+// without the empty type, down to k = 1 with every snapshot; a mismatch
+// exits 1.
+//
 // Besides the per-stage pipeline rows, --json emits a "cluster_kernel"
 // pair per scale comparing the two distance implementations over the
 // Stage-1 all-pairs scan: the sorted-vector reference
@@ -92,6 +103,7 @@
 #include "graph/data_graph.h"
 #include "graph/frozen_graph.h"
 #include "tests/gfp_oracle.h"
+#include "tests/greedy_oracle.h"
 #include "typing/bit_signature.h"
 #include "typing/defect.h"
 #include "typing/perfect_typing.h"
@@ -138,22 +150,71 @@ bool BenchStage2(const typing::PerfectTypingResult& stage1, int runs,
   cluster::ClusteringOptions copt;
   copt.target_num_types = 6;
   std::vector<double> ms;
+  cluster::ClusteringCounters c;
   for (int r = 0; r < runs; ++r) {
     util::WallTimer t;
     auto clustering =
         cluster::ClusterTypes(stage1.program, stage1.weight, copt);
     ms.push_back(t.ElapsedMillis());
     if (!clustering.ok()) return false;
+    c = clustering->counters;
   }
   std::sort(ms.begin(), ms.end());
   std::printf(
       "{\"bench\":\"stage2_greedy\",\"variant\":\"%s\",\"types\":%zu,"
       "\"runs\":%d,\"cluster_ms_median\":%.3f,\"cluster_ms_q1\":%.3f,"
       "\"cluster_ms_q3\":%.3f,\"cluster_ms_min\":%.3f,"
-      "\"cluster_ms_max\":%.3f,\"hardware_concurrency\":%u}\n",
+      "\"cluster_ms_max\":%.3f,\"hardware_concurrency\":%u,"
+      "\"rows\":%llu,\"rescans\":%llu,\"rescans_own_body\":%llu,"
+      "\"rescans_dest_died\":%llu,\"rescans_dest_changed\":%llu,"
+      "\"rescans_is_dest\":%llu,\"rescans_dest_weight\":%llu,"
+      "\"postings_walked\":%llu,\"candidates_priced\":%llu}\n",
       variant.c_str(), stage1.program.NumTypes(), runs, Quantile(ms, 0.5),
       Quantile(ms, 0.25), Quantile(ms, 0.75), ms.front(), ms.back(),
-      std::thread::hardware_concurrency());
+      std::thread::hardware_concurrency(),
+      static_cast<unsigned long long>(c.rows_computed),
+      static_cast<unsigned long long>(c.Rescans()),
+      static_cast<unsigned long long>(c.rescans_own_body_changed),
+      static_cast<unsigned long long>(c.rescans_dest_died),
+      static_cast<unsigned long long>(c.rescans_dest_changed),
+      static_cast<unsigned long long>(c.rescans_is_dest),
+      static_cast<unsigned long long>(c.rescans_dest_weight_priced),
+      static_cast<unsigned long long>(c.postings_walked),
+      static_cast<unsigned long long>(c.candidates_priced));
+  return true;
+}
+
+/// True if ClusterTypes matches the naive reference on DBG x1 for every
+/// psi, with and without the empty type, at every k down to 1.
+bool GreedyMatchesReference() {
+  auto g = gen::MakeDbgDataset();
+  if (!g.ok()) return false;
+  auto stage1 = typing::PerfectTypingViaHashRefinement(*g);
+  if (!stage1.ok()) return false;
+  for (cluster::PsiKind psi :
+       {cluster::PsiKind::kSimpleD, cluster::PsiKind::kPsi1,
+        cluster::PsiKind::kPsi2, cluster::PsiKind::kPsi3,
+        cluster::PsiKind::kPsi4, cluster::PsiKind::kPsi5}) {
+    for (bool empty : {true, false}) {
+      cluster::ClusteringOptions copt;
+      copt.psi = psi;
+      copt.enable_empty_type = empty;
+      copt.target_num_types = 1;
+      copt.record_snapshots = true;
+      auto fast = cluster::ClusterTypes(stage1->program, stage1->weight, copt);
+      if (!fast.ok() ||
+          !cluster::SameAsReference(
+              *fast, cluster::ReferenceGreedy(stage1->program,
+                                              stage1->weight, copt))) {
+        std::fprintf(stderr,
+                     "FAIL: ClusterTypes diverges from the naive reference "
+                     "on DBG x1 (%s, empty type %s)\n",
+                     std::string(cluster::PsiKindName(psi)).c_str(),
+                     empty ? "on" : "off");
+        return false;
+      }
+    }
+  }
   return true;
 }
 
@@ -463,6 +524,7 @@ constexpr int kStage2RowMaxScale = 25;
 constexpr int kStage2Runs = 5;
 
 int Run(bool json, bool smoke, const std::string& variant) {
+  if (json && !GreedyMatchesReference()) return 1;
   if (!json) {
     std::cout << "== Pipeline scalability (DBG-style data, refinement Stage "
                  "1) ==\n";
@@ -473,7 +535,7 @@ int Run(bool json, bool smoke, const std::string& variant) {
                    "stage1 types", "cluster->6 (ms)", "recast+defect (ms)",
                    "apply_delta (ms)", "total (ms)", "defect"});
   std::vector<int> scales = smoke ? std::vector<int>{1, 5}
-                                  : std::vector<int>{1, 5, 25, 100};
+                                  : std::vector<int>{1, 5, 10, 25, 100};
   for (int scale : scales) {
     auto g = Scaled(gen::DbgSpec(), scale, 4242);
     if (!g.ok()) return 1;

@@ -1,6 +1,7 @@
 #include "cluster/greedy.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -51,6 +52,9 @@ struct Candidate {
 /// types that carry it, and each type keeps the ids of the links that
 /// target it. A full distance row d(s, ·) = |s| + |t| − 2|s ∩ t| then
 /// costs one walk over s's postings plus one pass over the live types.
+/// The (at most 64) links the most types carried at the start are also
+/// bits of a per-type mask: the row skips their postings and adds
+/// popcount(hot[s] & hot[t]) in the pass over the live types instead.
 /// Every merge step runs two phases:
 ///
 ///   M: apply the hypercube projection / link drop to the rule bodies
@@ -59,8 +63,15 @@ struct Candidate {
 ///   B: restore every live source's cached best move, either by a full
 ///     rescan over its own fresh row (when its cached pick may have got
 ///     worse) or by folding in just the candidates that may have got
-///     better, read from the fresh rows of the changed types and of the
+///     better, read from the rescan rows of the changed types and of the
 ///     destination.
+///
+/// Under d, ψ2 and ψ4 every move out of s costs f(d)·g(w_s) with f
+/// strictly increasing on finite values, so the cheapest move under
+/// (cost, dest-rank) is the nearest live type under (d, id): a rescan
+/// prices that one candidate and the empty move, and a fold prices only
+/// rows no farther than the cached pick. ψ1, ψ3 and ψ5 price the
+/// destination's weight too and price every candidate.
 ///
 /// It runs on the caller's thread.
 class GreedyClusterer {
@@ -76,11 +87,15 @@ class GreedyClusterer {
         weight_(n_),
         initial_weight_(n_),
         changed_(n_, false),
+        shape_(n_),
         shared_(n_, 0),
         row_(n_, 0),
         cluster_of_(n_),
+        best_(n_),
+        dest_priced_(PsiDependsOnDestWeight(options.psi)),
         big_l_(stage1.NumDistinctTypedLinks()) {
     InternLinks(stage1);
+    PickHotLinks();
     for (size_t i = 0; i < n_; ++i) {
       names_[i] = stage1.type(static_cast<TypeId>(i)).name;
       weight_[i] = weights[i];
@@ -88,12 +103,20 @@ class GreedyClusterer {
       cluster_of_[i] = static_cast<TypeId>(i);
       live_.push_back(static_cast<uint32_t>(i));
     }
-    best_.resize(n_);
-    for (size_t s = 0; s < n_; ++s) RecomputeBest(s);
   }
 
   util::StatusOr<ClusteringResult> Run(const typing::ExecOptions& exec) {
     ClusteringResult result;
+    // The initial pass: every type's best move. It is skipped when no
+    // merge is needed.
+    if (live_.size() > options_.target_num_types) {
+      for (size_t s = 0; s < n_; ++s) {
+        if (s % kClusterCancelPollRows == 0) {
+          SCHEMEX_RETURN_IF_ERROR(exec.Poll());
+        }
+        RecomputeBest(s);
+      }
+    }
     // Every step removes one live type, so a capped run still records
     // one snapshot per k from min(n, cap) down.
     auto record = [this, &result](double total) {
@@ -127,6 +150,7 @@ class GreedyClusterer {
         result.final_weights[static_cast<size_t>(t)] += initial_weight_[i];
       }
     }
+    result.counters = counters_;
     return result;
   }
 
@@ -142,6 +166,7 @@ class GreedyClusterer {
     std::sort(links_.begin(), links_.end());
     links_.erase(std::unique(links_.begin(), links_.end()), links_.end());
     postings_.resize(links_.size());
+    hot_bit_.assign(links_.size(), 0);
     for (size_t id = 0; id < links_.size(); ++id) {
       if (links_[id].target >= 0) {
         targeting_[static_cast<size_t>(links_[id].target)].push_back(
@@ -157,35 +182,75 @@ class GreedyClusterer {
         body_[i].push_back(id);
         postings_[id].push_back(static_cast<uint32_t>(i));
       }
+      shape_[i].size = static_cast<uint32_t>(body_[i].size());
     }
   }
 
-  /// Fills row_[t] = d(s, t) for every live t: counts |s ∩ t| along s's
-  /// postings, then derives each distance in one pass over the live
-  /// types, which also resets the counts (postings hold live types only).
-  void ComputeRow(size_t s) {
+  /// Gives the (at most 64) ids with the longest posting lists, ties to
+  /// the lower id, one mask bit each; ids fewer than two types carry
+  /// stay unmasked. Ids interned later are never masked. Every id keeps
+  /// its posting list, which Phase M reads.
+  void PickHotLinks() {
+    std::vector<uint32_t> ids;
+    for (size_t id = 0; id < links_.size(); ++id) {
+      if (postings_[id].size() >= 2) ids.push_back(static_cast<uint32_t>(id));
+    }
+    auto longer = [this](uint32_t a, uint32_t b) {
+      if (postings_[a].size() != postings_[b].size()) {
+        return postings_[a].size() > postings_[b].size();
+      }
+      return a < b;
+    };
+    const size_t hot = std::min<size_t>(ids.size(), 64);
+    std::partial_sort(ids.begin(), ids.begin() + static_cast<ptrdiff_t>(hot),
+                      ids.end(), longer);
+    for (size_t b = 0; b < hot; ++b) hot_bit_[ids[b]] = uint64_t{1} << b;
+    for (size_t i = 0; i < n_; ++i) {
+      for (uint32_t id : body_[i]) shape_[i].hot |= hot_bit_[id];
+    }
+  }
+
+  static constexpr uint32_t kNoType = std::numeric_limits<uint32_t>::max();
+
+  /// Fills row_[t] = d(s, t) for every live t: counts |s ∩ t| along the
+  /// postings of s's unmasked links, then derives each distance in one
+  /// pass over the live types, adding the shared masked links and
+  /// resetting the counts (postings hold live types only). Returns the
+  /// live t != s nearest to s (least d, then least id), or kNoType.
+  uint32_t ComputeRow(size_t s) {
+    ++counters_.rows_computed;
     for (uint32_t id : body_[s]) {
+      if (hot_bit_[id] != 0) continue;
+      counters_.postings_walked += postings_[id].size();
       for (uint32_t t : postings_[id]) ++shared_[t];
     }
-    const size_t size_s = body_[s].size();
+    const Shape src = shape_[s];
+    uint32_t nearest = kNoType;
+    uint32_t nearest_d = std::numeric_limits<uint32_t>::max();
     for (uint32_t t : live_) {
-      row_[t] = static_cast<uint32_t>(size_s + body_[t].size() -
-                                      2 * size_t{shared_[t]});
+      const Shape dst = shape_[t];
+      const uint32_t common =
+          shared_[t] + static_cast<uint32_t>(std::popcount(src.hot & dst.hot));
+      const uint32_t d = src.size + dst.size - 2 * common;
+      row_[t] = d;
       shared_[t] = 0;
+      if (d < nearest_d && t != s) {
+        nearest = t;
+        nearest_d = d;
+      }
     }
+    return nearest;
   }
 
-  double Cost(size_t dest, size_t source, size_t dist) const {
-    return WeightedDistance(options_.psi, weight_[dest], weight_[source],
-                            dist, big_l_);
-  }
-
-  Candidate MakeCandidate(size_t s, size_t t, size_t d) const {
+  Candidate MakeCandidate(size_t s, size_t t, size_t d) {
+    ++counters_.candidates_priced;
     return Candidate{static_cast<TypeId>(s), static_cast<TypeId>(t), d,
-                     Cost(t, s, d)};
+                     WeightedDistance(options_.psi, weight_[t], weight_[s],
+                                      d, big_l_)};
   }
 
-  Candidate MakeEmptyCandidate(size_t s) const {
+  Candidate MakeEmptyCandidate(size_t s) {
+    ++counters_.candidates_priced;
     const size_t size_s = body_[s].size();
     return Candidate{static_cast<TypeId>(s), kEmptyType, size_s,
                      WeightedDistance(options_.psi,
@@ -193,21 +258,45 @@ class GreedyClusterer {
                                       weight_[s], size_s, big_l_)};
   }
 
-  /// Full rescan of the best move out of source `s`.
+  /// Full rescan of the best move out of source `s`; row_ keeps its row.
   void RecomputeBest(size_t s) {
-    ComputeRow(s);
+    const uint32_t nearest = ComputeRow(s);
     Candidate best;
     best.source = static_cast<TypeId>(s);
-    for (uint32_t t : live_) {
-      if (t == s) continue;
-      Candidate c = MakeCandidate(s, t, row_[t]);
-      if (c.BeatsAsDest(best)) best = c;
+    if (!dest_priced_) {
+      if (nearest != kNoType) {
+        Candidate c = MakeCandidate(s, nearest, row_[nearest]);
+        if (c.BeatsAsDest(best)) best = c;
+      }
+    } else {
+      for (uint32_t t : live_) {
+        if (t == s) continue;
+        Candidate c = MakeCandidate(s, t, row_[t]);
+        if (c.BeatsAsDest(best)) best = c;
+      }
     }
     if (options_.enable_empty_type) {
       Candidate c = MakeEmptyCandidate(s);
       if (c.BeatsAsDest(best)) best = c;
     }
     best_[s] = best;
+  }
+
+  /// Folds the moves into `t`, read from t's row in row_ (d is
+  /// symmetric), into the cached picks of the fold sources. Under a
+  /// source-priced ψ a row farther than a finite cached pick costs more,
+  /// so it is skipped unpriced.
+  void FoldRow(size_t t) {
+    for (uint32_t j : fold_) {
+      Candidate& cached = best_[j];
+      if (!dest_priced_ &&
+          cached.cost != std::numeric_limits<double>::infinity() &&
+          row_[j] > cached.simple_d) {
+        continue;
+      }
+      Candidate cand = MakeCandidate(j, t, row_[j]);
+      if (cand.BeatsAsDest(cached)) cached = cand;
+    }
   }
 
   Candidate PickGlobalBest() const {
@@ -222,8 +311,8 @@ class GreedyClusterer {
     return best;
   }
 
-  bool PsiDependsOnDestWeight() const {
-    switch (options_.psi) {
+  static bool PsiDependsOnDestWeight(PsiKind psi) {
+    switch (psi) {
       case PsiKind::kPsi1:
       case PsiKind::kPsi3:
       case PsiKind::kPsi5:
@@ -273,6 +362,7 @@ class GreedyClusterer {
       moved.target = static_cast<TypeId>(to);
       links_.push_back(moved);
       postings_.emplace_back();
+      hot_bit_.push_back(0);
     }
     merged.insert(merged.end(), dst.begin() + static_cast<ptrdiff_t>(j),
                   dst.end());
@@ -281,17 +371,19 @@ class GreedyClusterer {
 
   /// Drops body i's links into `from`; unless they go to the empty type,
   /// adds their retargeted ids (remap_) that the body does not already
-  /// carry.
+  /// carry. The type's shape follows its body.
   void RewriteBody(size_t i, TypeId from, bool empty_dest) {
     std::vector<uint32_t>& body = body_[i];
+    Shape& shape = shape_[i];
     moved_.clear();
     size_t keep = 0;
     for (uint32_t id : body) {
       if (links_[id].target != from) {
         body[keep++] = id;
-      } else if (!empty_dest) {
-        moved_.push_back(remap_[id]);
+        continue;
       }
+      shape.hot &= ~hot_bit_[id];
+      if (!empty_dest) moved_.push_back(remap_[id]);
     }
     body.resize(keep);
     for (uint32_t id : moved_) {
@@ -302,8 +394,10 @@ class GreedyClusterer {
       }
       body.push_back(id);
       postings_[id].push_back(static_cast<uint32_t>(i));
+      shape.hot |= hot_bit_[id];
     }
     std::sort(body.begin(), body.end());
+    shape.size = static_cast<uint32_t>(body.size());
   }
 
   void Apply(const Candidate& c) {
@@ -317,6 +411,7 @@ class GreedyClusterer {
       ErasePosting(postings_[id], static_cast<uint32_t>(s));
     }
     body_[s] = {};
+    shape_[s] = Shape{};
 
     // Phase M: the live types referencing s are the postings of the ids
     // that target it. Rewrite their bodies; afterwards no live body
@@ -348,39 +443,44 @@ class GreedyClusterer {
     // got worse: the source itself changed; its destination died or
     // changed body; or the destination's weight grew (c.dest, or the
     // empty type) under a psi kind that prices it. Otherwise only
-    // candidates that could have *improved* are folded in. The minimum
-    // under (cost, dest-rank) is unique, so rescans and fold-ins agree,
-    // and fold-ins may run in any order.
-    const bool dest_weight_priced = PsiDependsOnDestWeight();
+    // candidates that could have *improved* are folded in: the moves
+    // into the changed types and into the destination. Those are all
+    // rescanned, so each folds its rescan row. The minimum under (cost,
+    // dest-rank) is unique, so rescans and fold-ins agree, and fold-ins
+    // may run in any order.
     const bool empty_weight_changed =
-        empty_dest && options_.enable_empty_type && dest_weight_priced;
+        empty_dest && options_.enable_empty_type && dest_priced_;
+    rescan_.clear();
     fold_.clear();
     for (uint32_t j : live_) {
       const Candidate& cached = best_[j];
-      bool recompute =
-          changed_[j] || cached.dest == c.source || empty_weight_changed ||
-          (!empty_dest && (j == static_cast<size_t>(c.dest) ||
-                           (dest_weight_priced && cached.dest == c.dest))) ||
-          (cached.dest >= 0 && changed_[static_cast<size_t>(cached.dest)]);
-      if (recompute) {
-        RecomputeBest(j);
+      uint64_t* reason = nullptr;
+      if (changed_[j]) {
+        reason = &counters_.rescans_own_body_changed;
+      } else if (cached.dest == c.source) {
+        reason = &counters_.rescans_dest_died;
+      } else if (cached.dest >= 0 &&
+                 changed_[static_cast<size_t>(cached.dest)]) {
+        reason = &counters_.rescans_dest_changed;
+      } else if (!empty_dest && j == static_cast<size_t>(c.dest)) {
+        reason = &counters_.rescans_is_dest;
+      } else if (empty_weight_changed ||
+                 (!empty_dest && dest_priced_ && cached.dest == c.dest)) {
+        reason = &counters_.rescans_dest_weight_priced;
+      }
+      if (reason != nullptr) {
+        ++*reason;
+        rescan_.push_back(j);
       } else {
         fold_.push_back(j);
       }
     }
-    if (fold_.empty()) return;
-    auto fold_row = [this](size_t t) {
-      ComputeRow(t);
-      for (uint32_t j : fold_) {
-        if (j == t) continue;
-        Candidate cand = MakeCandidate(j, t, row_[j]);
-        if (cand.BeatsAsDest(best_[j])) best_[j] = cand;
-      }
-    };
-    for (size_t cd : changed_list_) fold_row(cd);
-    // The destination got heavier: moves into it may have cheapened.
-    if (!empty_dest && !changed_[static_cast<size_t>(c.dest)]) {
-      fold_row(static_cast<size_t>(c.dest));
+    for (uint32_t j : rescan_) {
+      RecomputeBest(j);
+      // Moves into a changed type, or into the destination (it got
+      // heavier), may have cheapened.
+      const bool is_dest = !empty_dest && j == static_cast<size_t>(c.dest);
+      if (!fold_.empty() && (changed_[j] || is_dest)) FoldRow(j);
     }
   }
 
@@ -426,15 +526,26 @@ class GreedyClusterer {
   std::vector<uint32_t> live_;        // ascending ids of the live types
   std::vector<bool> changed_;         // per-merge scratch
   std::vector<size_t> changed_list_;  // ascending ids of changed_ entries
+  std::vector<uint32_t> rescan_;      // per-merge scratch: rescanned sources
   std::vector<uint32_t> fold_;        // per-merge scratch: folding sources
   std::vector<uint32_t> moved_;       // RewriteBody scratch
   std::vector<uint32_t> remap_;       // RetargetIds output, by old link id
+  // What a row's pass over the live types reads of each type: its body
+  // size and its hot-link mask.
+  struct Shape {
+    uint64_t hot = 0;
+    uint32_t size = 0;
+  };
+  std::vector<Shape> shape_;
+  std::vector<uint64_t> hot_bit_;  // link id -> its mask bit, or 0
   std::vector<uint32_t> shared_;      // ComputeRow scratch: |s ∩ t|
   std::vector<uint32_t> row_;         // ComputeRow output: d(s, t)
   std::vector<TypeId> cluster_of_;
   std::vector<Candidate> best_;  // per live source: its best move
   double empty_weight_ = 0.0;
+  const bool dest_priced_;  // the ψ kind prices the destination's weight
   const size_t big_l_;
+  ClusteringCounters counters_;
 };
 
 }  // namespace

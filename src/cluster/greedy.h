@@ -59,6 +59,35 @@ struct Snapshot {
   double total_distance;  ///< cumulative greedy cost up to this snapshot
 };
 
+/// Work counters of one ClusterTypes run. They are plain increments, so
+/// the same input and options give the same counts. Every row is the
+/// distance row d(s, ·) of one source: the initial pass computes one row
+/// per type (none when no merge is needed), and each Phase-B rescan one
+/// more, so rows_computed is the initial rows plus every rescan.
+struct ClusteringCounters {
+  uint64_t rows_computed = 0;
+  /// Posting-list entries read while counting shared links; links kept
+  /// in the hot-link masks are counted by popcount instead.
+  uint64_t postings_walked = 0;
+  /// ψ evaluations: moves whose cost was computed.
+  uint64_t candidates_priced = 0;
+  /// Phase-B rescans, each counted under the first reason that holds:
+  /// the source's own body changed; its cached destination died; the
+  /// destination's body changed; it is the step's destination; or the
+  /// destination's weight grew under a ψ that prices it.
+  uint64_t rescans_own_body_changed = 0;
+  uint64_t rescans_dest_died = 0;
+  uint64_t rescans_dest_changed = 0;
+  uint64_t rescans_is_dest = 0;
+  uint64_t rescans_dest_weight_priced = 0;
+
+  uint64_t Rescans() const {
+    return rescans_own_body_changed + rescans_dest_died +
+           rescans_dest_changed + rescans_is_dest +
+           rescans_dest_weight_priced;
+  }
+};
+
 struct ClusteringResult {
   std::vector<MergeStep> steps;
   typing::TypingProgram final_program;
@@ -71,7 +100,12 @@ struct ClusteringResult {
   /// one per k from min(n, options.max_snapshot_types) (n when the cap is
   /// 0; k = n is the starting program) down to the final one.
   std::vector<Snapshot> snapshots;
+  ClusteringCounters counters;
 };
+
+/// How often (in distance rows) the initial pass over all types polls
+/// exec.check_cancel; its first row always polls.
+inline constexpr size_t kClusterCancelPollRows = 64;
 
 /// Greedy agglomerative clustering of the Stage-1 types (§5): repeatedly
 /// perform the cheapest "move all of type s into type t" (or "stop
@@ -87,8 +121,9 @@ struct ClusteringResult {
 ///
 /// Memory stays linear in the program: rule bodies are interned link ids
 /// with per-link posting lists, and each distance row is derived from
-/// them on demand (no n x n matrix). exec.check_cancel is polled before
-/// every merge step; its status propagates verbatim.
+/// them on demand (no n x n matrix). exec.check_cancel is polled every
+/// kClusterCancelPollRows rows of the initial pass and before every merge
+/// step; its status propagates verbatim.
 util::StatusOr<ClusteringResult> ClusterTypes(
     const typing::TypingProgram& stage1, const std::vector<uint32_t>& weights,
     const ClusteringOptions& options, const typing::ExecOptions& exec = {});

@@ -15,7 +15,11 @@ struct KneeOptions {
   /// Only consider typings with at most this many types (the regime
   /// where a typing is usable as a schema). 0 = no cap. Points above the
   /// cap are never read, so a sweep capped at the same value
-  /// (SensitivitySweep's max_k) yields the same knee.
+  /// (SensitivitySweep's max_k) yields the same knee. An uncapped full
+  /// sweep is degenerate: it includes k = n, the perfect typing, at
+  /// defect 0, so the tolerance admits only defect-0 points and the knee
+  /// is the smallest k with defect 0 (usually n). The service rejects
+  /// auto-k with max_types 0 for that reason.
   size_t max_types = 20;
 
   /// Accept any k whose defect is within this factor of the best defect

@@ -44,9 +44,11 @@ struct ExtractParams {
   /// Knee tolerance when k == 0: accept the smallest k whose defect is
   /// within `epsilon` of the best in range (extract/knee.h).
   double epsilon = 1.25;
-  /// Knee search range cap when k == 0 (0 = uncapped). It also bounds
-  /// the sweep: only k <= max_types are recast, so 0 costs one recast
-  /// per Stage-1 type.
+  /// Knee search range cap when k == 0; must be >= 1 then. It also
+  /// bounds the sweep: only k <= max_types are recast. 0 with k == 0 is
+  /// InvalidArgument: an uncapped sweep includes the perfect typing at
+  /// defect 0, so the knee would always pick it. Fixed-k requests
+  /// ignore the field.
   uint64_t max_types = 20;
   bool decompose_roles = false;
   /// Stage-1 algorithm: "refinement" (default) or "gfp".

@@ -420,9 +420,16 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
 
   // k == 0 = automatic: sweep the k axis and take the §8 knee within the
   // epsilon tolerance. The knee never picks k > max_types, so the sweep
-  // recasts only k <= max_types (0 = every k).
+  // recasts only k <= max_types.
   size_t chosen_k = static_cast<size_t>(p.k);
   bool auto_k = chosen_k == 0;
+  if (auto_k && p.max_types == 0) {
+    return util::Status::InvalidArgument(
+        "k 0 with max_types 0 would always return the unclustered Stage-1 "
+        "typing: an uncapped sweep includes k = n at defect 0, so the knee "
+        "tolerance admits only defect-0 points; set max_types >= 1 or a "
+        "fixed k");
+  }
   SweepCost sweep_cost;
   if (auto_k) {
     extract::KneeOptions knee_opt;

@@ -16,9 +16,10 @@ struct ExecOptions {
   size_t num_threads = 1;
 
   /// Cooperative cancellation: polled between refinement rounds, between
-  /// GFP phases, and every few thousand worklist pops. Return non-OK
-  /// (typically DeadlineExceeded) to abort; the status propagates
-  /// verbatim. Null = never cancel.
+  /// GFP phases and every kGfpCancelPollInterval steps inside them, every
+  /// kClusterCancelPollRows rows of Stage 2's initial pass, and before
+  /// every merge step. Return non-OK (typically DeadlineExceeded) to
+  /// abort; the status propagates verbatim. Null = never cancel.
   std::function<util::Status()> check_cancel;
 
   /// Test-only: collapse every refinement signature hash to one bucket so

@@ -125,6 +125,9 @@ util::StatusOr<Extents> ComputeGfp(const TypingProgram& program,
       return std::binary_search(v.begin(), v.end(), l);
     };
     for (graph::ObjectId o = 0; o < n; ++o) {
+      if (o % kGfpCancelPollInterval == 0) {
+        SCHEMEX_RETURN_IF_ERROR(options.Poll());
+      }
       if (!g.IsComplex(o)) continue;
       out_labels.clear();
       in_labels.clear();
@@ -177,9 +180,15 @@ util::StatusOr<Extents> ComputeGfp(const TypingProgram& program,
   {
     std::vector<std::pair<graph::ObjectId, TypeId>> failed;
     size_t rechecks = 0;
-    for (size_t t = 0; t < num_types; ++t) {
+    util::Status cancelled;
+    for (size_t t = 0; t < num_types && cancelled.ok(); ++t) {
       const TypeSignature& sig = program.type(static_cast<TypeId>(t)).signature;
       m.per_type[t].ForEach([&](size_t o) {
+        if (!cancelled.ok()) return;
+        if (rechecks % kGfpCancelPollInterval == 0) {
+          cancelled = options.Poll();
+          if (!cancelled.ok()) return;
+        }
         ++rechecks;
         if (!SatisfiesSignature(sig, g, m, static_cast<graph::ObjectId>(o))) {
           failed.emplace_back(static_cast<graph::ObjectId>(o),
@@ -187,6 +196,7 @@ util::StatusOr<Extents> ComputeGfp(const TypingProgram& program,
         }
       });
     }
+    SCHEMEX_RETURN_IF_ERROR(cancelled);
     local_stats.rechecks = rechecks;
     // Removing members only makes signatures harder to satisfy, so every
     // recorded failure still fails after earlier removals: clear directly.

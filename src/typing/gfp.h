@@ -46,15 +46,18 @@ struct GfpStats {
 /// program.ToDatalog() (asserted by tests), but typically orders of
 /// magnitude faster on perfect-typing candidate programs.
 ///
-/// options.check_cancel is polled between phases and every
-/// kGfpCancelPollInterval worklist pops.
+/// options.check_cancel is polled between phases, every
+/// kGfpCancelPollInterval objects of the prefilter, every
+/// kGfpCancelPollInterval (object, type) pairs of the initial check and
+/// every kGfpCancelPollInterval worklist pops.
 util::StatusOr<Extents> ComputeGfp(const TypingProgram& program,
                                    graph::GraphView g,
                                    GfpStats* stats = nullptr,
                                    const ExecOptions& options = {});
 
-/// How often (in worklist pops) ComputeGfp polls check_cancel; the first
-/// pop always polls, so cancellation fires even on short worklists.
+/// How often (in prefilter objects, initial-check pairs or worklist
+/// pops) ComputeGfp polls check_cancel; the first of each always polls,
+/// so cancellation fires even on short inputs.
 inline constexpr size_t kGfpCancelPollInterval = 1024;
 
 /// True iff object `o` satisfies every typed link of `sig` under extents

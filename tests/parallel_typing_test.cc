@@ -115,9 +115,10 @@ TEST(ParallelGfp, WorklistPollsCancellation) {
   // Chain o0 -l-> o1 -l-> o2 with the recursive program t0 = {->l^t0}:
   // the prefilter admits {o0, o1}, the initial sweep evicts o1 (o2 was
   // never a candidate), and the worklist then pops (o1, t0). ComputeGfp
-  // polls after the prefilter, after the sweep, and on the first pop —
-  // so a hook that fails on its third call proves the *worklist* polls,
-  // not just the phase boundaries.
+  // polls on the prefilter's first object, after the prefilter, on the
+  // sweep's first pair, after the sweep, and on the first pop — so a
+  // hook that fails on its fifth call proves the *worklist* polls, not
+  // just the phase boundaries.
   graph::GraphBuilder b;
   EXPECT_OK(b.Complex("o0"));
   EXPECT_OK(b.Complex("o1"));
@@ -141,13 +142,53 @@ TEST(ParallelGfp, WorklistPollsCancellation) {
   size_t polls = 0;
   typing::ExecOptions exec;
   exec.check_cancel = [&polls] {
-    return ++polls >= 3 ? util::Status::DeadlineExceeded("worklist cancel")
+    return ++polls >= 5 ? util::Status::DeadlineExceeded("worklist cancel")
                         : util::Status::OK();
   };
   auto cancelled = typing::ComputeGfp(program, g, nullptr, exec);
   ASSERT_FALSE(cancelled.ok());
   EXPECT_EQ(cancelled.status().code(), util::StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(polls, 3u);
+  EXPECT_EQ(polls, 5u);
+}
+
+TEST(ParallelGfp, PrefilterAndInitialCheckPoll) {
+  // The prefilter (one pass over the objects) and the initial check (one
+  // pass over the candidate pairs) cost types x objects on irregular
+  // data, so each polls every kGfpCancelPollInterval steps, like the
+  // worklist; the phase boundaries poll once more each.
+  gen::DatasetSpec spec = gen::DbgSpec();
+  for (auto& t : spec.types) t.count *= 5;
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 4242));
+  ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
+                       typing::PerfectTypingViaHashRefinement(g));
+  size_t polls = 0;
+  typing::ExecOptions exec;
+  exec.check_cancel = [&polls] {
+    ++polls;
+    return util::Status::OK();
+  };
+  typing::GfpStats stats;
+  ASSERT_OK(typing::ComputeGfp(stage1.program, g, &stats, exec).status());
+  auto blocks = [](size_t steps) {
+    return (steps + typing::kGfpCancelPollInterval - 1) /
+           typing::kGfpCancelPollInterval;
+  };
+  ASSERT_GT(g.NumObjects(), 2 * typing::kGfpCancelPollInterval);
+  ASSERT_GT(stats.initial_candidates, 2 * typing::kGfpCancelPollInterval);
+  // Every removal is queued once and popped once.
+  EXPECT_EQ(polls, blocks(g.NumObjects()) + 1 +
+                       blocks(stats.initial_candidates) + 1 +
+                       blocks(stats.removed));
+
+  // A hook that fails on its second call stops inside the prefilter.
+  size_t calls = 0;
+  exec.check_cancel = [&calls] {
+    return ++calls < 2 ? util::Status::OK()
+                       : util::Status::DeadlineExceeded("prefilter cancel");
+  };
+  auto cancelled = typing::ComputeGfp(stage1.program, g, nullptr, exec);
+  EXPECT_EQ(cancelled.status().code(), util::StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(calls, 2u);
 }
 
 TEST(ParallelExtractor, CancellationInsideStage1) {

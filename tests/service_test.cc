@@ -261,6 +261,26 @@ TEST_F(ServiceTest, ExtractAutoKPicksKnee) {
                        extract::SensitivitySweep(g, {}));
   for (uint64_t max_types : {20, 5, 0}) {
     SCOPED_TRACE("max_types " + std::to_string(max_types));
+    if (max_types == 0) {
+      // Uncapped, the knee would always be the perfect typing (k = n is
+      // in range at defect 0), so auto-k refuses it and says why.
+      Server server;
+      ASSERT_OK(server.InstallWorkspace("dbg", MakeDbgWorkspace()));
+      Request req = MakeRequest(Verb::kExtract);
+      req.extract.workspace = "dbg";
+      req.extract.k = 0;
+      req.extract.max_types = 0;
+      Response resp = server.Handle(req);
+      EXPECT_EQ(resp.status.code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(resp.status.message().find("max_types"), std::string::npos)
+          << resp.status.message();
+      EXPECT_NE(resp.status.message().find("defect 0"), std::string::npos)
+          << resp.status.message();
+      // A fixed k ignores max_types.
+      req.extract.k = 6;
+      ASSERT_OK(server.Handle(req).status);
+      continue;
+    }
     extract::KneeOptions knee;
     knee.max_types = max_types;
     const size_t want_k = extract::FindKnee(full, knee).k;
@@ -288,8 +308,7 @@ TEST_F(ServiceTest, ExtractAutoKPicksKnee) {
     EXPECT_EQ(Field(Field(r, "defect"), "defect").AsNumber(),
               want.defect.defect());
     // The sweep recast one point per k it could pick, and says so.
-    const size_t want_points =
-        max_types == 0 ? full.size() : std::min<size_t>(max_types, full.size());
+    const size_t want_points = std::min<size_t>(max_types, full.size());
     EXPECT_EQ(Field(r, "sweep_points").AsNumber(), want_points);
     EXPECT_GE(Field(Field(r, "timings"), "sweep_ms").AsNumber(), 0);
 
@@ -727,14 +746,16 @@ TEST_F(ServiceTest, MalformedJsonReturnsStructuredError) {
 TEST_F(ServiceTest, QueueTimeoutPath) {
   // One worker; the head request monopolizes it long enough that a
   // queued request with a tiny budget expires before it is picked up.
+  // The head extract must outlast the 50 ms pause below by a wide
+  // margin, so the graph is sized for well over 100 ms of Stage 2.
   ServerOptions opt;
   opt.num_threads = 1;
   Server server(opt);
 
   gen::RandomGraphOptions gopt;
-  gopt.num_complex = 1500;
-  gopt.num_atomic = 1500;
-  gopt.num_edges = 6000;
+  gopt.num_complex = 3000;
+  gopt.num_atomic = 3000;
+  gopt.num_edges = 12000;
   catalog::Workspace ws;
   ws.SetGraph(gen::RandomGraph(gopt));
   ws.assignment = typing::TypeAssignment(ws.graph->NumObjects());
