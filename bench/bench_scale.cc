@@ -38,20 +38,23 @@
 //               cluster_kernel row (scales 1, 5, 10, 25) —
 //                 {"bench":"cluster_kernel","kernel":"sorted"|"bit",
 //                  "types":N,"pairs":N,"reps":N,"ms":F,"speedup":F}
-//               knee_sweep row (max_k 20 at scales 1, 5, 10, 25; max_k 0
-//               at scales 1, 5) —
-//                 {"bench":"knee_sweep","scale":S,"types":N,"max_k":M,
+//               knee_sweep row (scales 1, 5, 10, 25) —
+//                 {"bench":"knee_sweep","scale":S,"types":N,"max_k":20,
 //                  "points":P,"knee_k":K,"runs":R,"sweep_ms_median":F,
 //                  "sweep_ms_q1":F,"sweep_ms_q3":F,"sweep_ms_min":F,
 //                  "sweep_ms_max":F,"hardware_concurrency":N}
 //                 R cold SensitivitySweep runs (Stage 1, Stage 2 down
-//                 to k = 1, a recast + defect per k <= M; M = 0 recasts
-//                 every k) with default options; K is FindKnee's pick
-//                 under max_types = M. Before the rows print, the capped
-//                 points must equal the full sweep's points with k <= 20
-//                 (at scale 25, where the full sweep takes minutes, each
-//                 capped point must equal a cold extraction at its k);
-//                 a mismatch exits 1.
+//                 to k = 1, a recast + defect per k <= 20, the service's
+//                 default max_types) with default options; K is
+//                 FindKnee's pick under max_types = 20. Before the row
+//                 prints, two gates must hold, or the run exits 1:
+//                 the capped points equal the full sweep's points with
+//                 k <= 20 (one untimed full sweep at scales <= 5; above,
+//                 where it takes minutes, each capped point equals a
+//                 cold extraction at its k), and ExtractAtKnee's points
+//                 equal the capped sweep's while its result equals
+//                 SchemaExtractor::Run at the knee (final program,
+//                 assignment, defect).
 //               stage1_gfp row (DBG x1/x5/x25 and Table-1 DB1 x10/x30
 //               with both variants; DB1 x100 "after" only) —
 //                 {"bench":"stage1_gfp","variant":"before"|"after",
@@ -226,12 +229,12 @@ struct SweepRuns {
   Points points;
 };
 
-/// Runs `runs` cold SensitivitySweeps capped at `max_k` (0 = every k).
+/// Runs `runs` cold SensitivitySweeps capped at `max_k`.
 bool TimeKneeSweep(graph::GraphView g, size_t max_k, int runs,
                    SweepRuns* out) {
   for (int r = 0; r < runs; ++r) {
     util::WallTimer t;
-    auto sweep = extract::SensitivitySweep(g, {}, /*min_k=*/1, max_k);
+    auto sweep = extract::SensitivitySweep(g, {}, max_k);
     out->ms.push_back(t.ElapsedMillis());
     if (!sweep.ok()) return false;
     out->points = *std::move(sweep);
@@ -256,6 +259,27 @@ bool MatchesColdExtractions(graph::GraphView g, const Points& points) {
   return true;
 }
 
+/// True if the one-pass auto-k extraction (ExtractAtKnee) reads
+/// `points`, the sweep capped at `max_k`, and its result equals
+/// SchemaExtractor::Run at the knee: final program, assignment, defect.
+bool KneeExtractionMatches(graph::GraphView g, const Points& points,
+                           size_t max_k) {
+  extract::KneeOptions knee;
+  knee.max_types = max_k;
+  auto one_pass = extract::ExtractAtKnee(g, {}, knee);
+  if (!one_pass.ok() || one_pass->points != points) return false;
+  extract::ExtractorOptions opt;
+  opt.target_num_types = extract::FindKnee(points, knee).k;
+  auto run = extract::SchemaExtractor(opt).Run(g);
+  if (!run.ok()) return false;
+  const extract::ExtractionResult& r = one_pass->result;
+  return one_pass->knee.k == opt.target_num_types &&
+         r.final_program == run->final_program &&
+         r.recast.assignment == run->recast.assignment &&
+         r.defect.excess == run->defect.excess &&
+         r.defect.deficit == run->defect.deficit;
+}
+
 void PrintKneeRow(int scale, size_t types, size_t max_k,
                   const SweepRuns& runs) {
   extract::KneeOptions knee;
@@ -273,22 +297,24 @@ void PrintKneeRow(int scale, size_t types, size_t max_k,
 }
 
 // The service's default knee range (ExtractParams::max_types), and the
-// largest scale whose full sweep (one recast per Stage-1 type) is timed.
+// largest scale whose full sweep (one recast per Stage-1 type) is the
+// reference for the capped points.
 constexpr size_t kKneeMaxTypes = 20;
 constexpr int kFullSweepMaxScale = 5;
 
-/// Prints the knee_sweep rows for one scale once the capped points have
-/// been checked exact; returns false on a failed run or a mismatch.
+/// Prints the knee_sweep row for one scale once the capped points and
+/// the one-pass auto-k extraction have been checked exact; returns false
+/// on a failed run or a mismatch.
 bool BenchKneeSweeps(graph::GraphView g, int scale, size_t types,
                      int runs) {
   SweepRuns capped;
   if (!TimeKneeSweep(g, kKneeMaxTypes, runs, &capped)) return false;
-  SweepRuns full;
   bool exact = false;
   if (scale <= kFullSweepMaxScale) {
-    if (!TimeKneeSweep(g, 0, runs, &full)) return false;
+    auto full = extract::SensitivitySweep(g, {});
+    if (!full.ok()) return false;
     Points tail;
-    for (const extract::SensitivityPoint& p : full.points) {
+    for (const extract::SensitivityPoint& p : *full) {
       if (p.k <= kKneeMaxTypes) tail.push_back(p);
     }
     exact = capped.points == tail;
@@ -302,7 +328,13 @@ bool BenchKneeSweeps(graph::GraphView g, int scale, size_t types,
                  scale, kKneeMaxTypes);
     return false;
   }
-  if (!full.ms.empty()) PrintKneeRow(scale, types, 0, full);
+  if (!KneeExtractionMatches(g, capped.points, kKneeMaxTypes)) {
+    std::fprintf(stderr,
+                 "FAIL: scale %d: ExtractAtKnee diverges from the capped "
+                 "sweep or from SchemaExtractor::Run at the knee\n",
+                 scale);
+    return false;
+  }
   PrintKneeRow(scale, types, kKneeMaxTypes, capped);
   return true;
 }

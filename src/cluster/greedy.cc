@@ -85,7 +85,6 @@ class GreedyClusterer {
         body_(n_),
         targeting_(n_),
         weight_(n_),
-        initial_weight_(n_),
         changed_(n_, false),
         shape_(n_),
         shared_(n_, 0),
@@ -99,14 +98,14 @@ class GreedyClusterer {
     for (size_t i = 0; i < n_; ++i) {
       names_[i] = stage1.type(static_cast<TypeId>(i)).name;
       weight_[i] = weights[i];
-      initial_weight_[i] = weights[i];
       cluster_of_[i] = static_cast<TypeId>(i);
       live_.push_back(static_cast<uint32_t>(i));
     }
   }
 
-  util::StatusOr<ClusteringResult> Run(const typing::ExecOptions& exec) {
-    ClusteringResult result;
+  util::StatusOr<ClusteringResult> Run(const typing::ExecOptions& exec,
+                                       const std::vector<uint32_t>& weights) {
+    ClusteringResult ladder;
     // The initial pass: every type's best move. It is skipped when no
     // merge is needed.
     if (live_.size() > options_.target_num_types) {
@@ -119,10 +118,10 @@ class GreedyClusterer {
     }
     // Every step removes one live type, so a capped run still records
     // one snapshot per k from min(n, cap) down.
-    auto record = [this, &result](double total) {
+    auto record = [this, &ladder](double total) {
       const size_t cap = options_.max_snapshot_types;
       if (options_.record_snapshots && (cap == 0 || live_.size() <= cap)) {
-        result.snapshots.push_back(MakeSnapshot(total));
+        ladder.snapshots.push_back(MakeSnapshot(total));
       }
     };
     record(0.0);
@@ -133,24 +132,15 @@ class GreedyClusterer {
       if (best.source < 0) break;  // nothing mergeable (live <= 1)
       Apply(best);
       total += best.cost;
-      result.steps.push_back(MergeStep{live_.size(), best.source, best.dest,
+      ladder.steps.push_back(MergeStep{live_.size(), best.source, best.dest,
                                        best.simple_d, best.cost});
       record(total);
     }
-    result.total_distance = total;
-    Snapshot fin = MakeSnapshot(total);
-    result.final_program = std::move(fin.program);
-    result.final_map = std::move(fin.stage1_to_snapshot);
-    result.final_weights.assign(result.final_program.NumTypes(), 0);
-    for (size_t i = 0; i < n_; ++i) {
-      TypeId t = result.final_map[i];
-      if (t != kEmptyType) {
-        // Weight accumulates per *Stage-1* home population, which is what
-        // the original weights measured.
-        result.final_weights[static_cast<size_t>(t)] += initial_weight_[i];
-      }
-    }
-    result.counters = counters_;
+    // The result is the ladder's own last rung.
+    ladder.counters = counters_;
+    ClusteringResult result =
+        ClusteringAtSnapshot(ladder, MakeSnapshot(total), weights);
+    result.snapshots = std::move(ladder.snapshots);
     return result;
   }
 
@@ -522,7 +512,6 @@ class GreedyClusterer {
   // type -> ids of the links targeting it, sorted by (direction, label)
   std::vector<std::vector<uint32_t>> targeting_;
   std::vector<double> weight_;
-  std::vector<uint64_t> initial_weight_;
   std::vector<uint32_t> live_;        // ascending ids of the live types
   std::vector<bool> changed_;         // per-merge scratch
   std::vector<size_t> changed_list_;  // ascending ids of changed_ entries
@@ -563,7 +552,27 @@ util::StatusOr<ClusteringResult> ClusterTypes(
   }
   SCHEMEX_RETURN_IF_ERROR(stage1.Validate());
   GreedyClusterer clusterer(stage1, weights, options);
-  return clusterer.Run(exec);
+  return clusterer.Run(exec, weights);
+}
+
+ClusteringResult ClusteringAtSnapshot(const ClusteringResult& ladder,
+                                      Snapshot snapshot,
+                                      const std::vector<uint32_t>& weights) {
+  // Weights sum per Stage-1 home population, what `weights` measured.
+  std::vector<uint64_t> final_weights(snapshot.num_types, 0);
+  for (size_t i = 0; i < weights.size(); ++i) {
+    const TypeId t = snapshot.stage1_to_snapshot[i];
+    if (t != kEmptyType) final_weights[static_cast<size_t>(t)] += weights[i];
+  }
+  const auto merges =
+      static_cast<ptrdiff_t>(weights.size() - snapshot.num_types);
+  return {.steps = {ladder.steps.begin(), ladder.steps.begin() + merges},
+          .final_program = std::move(snapshot.program),
+          .final_map = std::move(snapshot.stage1_to_snapshot),
+          .final_weights = std::move(final_weights),
+          .total_distance = snapshot.total_distance,
+          .snapshots = {},
+          .counters = ladder.counters};
 }
 
 }  // namespace schemex::cluster

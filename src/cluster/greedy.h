@@ -128,6 +128,15 @@ util::StatusOr<ClusteringResult> ClusterTypes(
     const typing::TypingProgram& stage1, const std::vector<uint32_t>& weights,
     const ClusteringOptions& options, const typing::ExecOptions& exec = {});
 
+/// The result ClusterTypes returns for target_num_types = k, read off
+/// `ladder`, a run over the same input (`weights` among it) that recorded
+/// `snapshot` at k: the merges up to k do not depend on the target, and
+/// ClusterTypes builds its own result this way from its last snapshot.
+/// Counters are the ladder's (the work done); there are no snapshots.
+ClusteringResult ClusteringAtSnapshot(const ClusteringResult& ladder,
+                                      Snapshot snapshot,
+                                      const std::vector<uint32_t>& weights);
+
 }  // namespace schemex::cluster
 
 #endif  // SCHEMEX_CLUSTER_GREEDY_H_

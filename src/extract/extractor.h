@@ -56,6 +56,7 @@ struct StageTimings {
   double stage1_ms = 0;  ///< perfect typing (refinement or GFP)
   double cluster_ms = 0; ///< Stage 2 clustering or its reuse (0 when skipped)
   double recast_ms = 0;  ///< home remap + Stage 3 + defect measurement
+  double sweep_ms = 0;  ///< ExtractAtKnee: every point's recast + the knee
   double total_ms = 0;
 };
 
@@ -121,21 +122,16 @@ struct SensitivityPoint {
                          const SensitivityPoint&) = default;
 };
 
-/// Re-runs Stages 2+3 at every k from min(n, `max_k`) down to `min_k`,
-/// where n is the perfect-type count and `max_k` = 0 means n (single
-/// clustering run with snapshots), and measures the defect at each k —
-/// the sliding-scale mechanism of §6 and the curves of Figure 6.
-/// `options.target_num_types` is ignored.
-///
-/// The cap is exact: the clustering always runs the full ladder down to
-/// `min_k`, recording a snapshot does not change it, and each point's
-/// recast and defect depend only on its own snapshot, so the capped
-/// sweep equals the uncapped sweep's points with k <= `max_k`. A knee
-/// search limited to k <= max_types therefore pays for max_types
-/// recasts instead of n.
+/// Measures the typing at every k from min(n, `max_k`) down to 1 (n the
+/// perfect-type count, `max_k` = 0 meaning n): Stage 1 and the roles pass
+/// once, one clustering ladder down to k = 1 with a snapshot per k, and a
+/// recast + defect per snapshot — §6's sliding scale and Figure 6.
+/// `options.target_num_types` is ignored. The cap is exact: recording a
+/// snapshot does not change the ladder, and each point depends only on
+/// its own snapshot, so the capped sweep is the uncapped one's points
+/// with k <= `max_k`, at max_k recasts instead of n. Defined in knee.cc.
 util::StatusOr<std::vector<SensitivityPoint>> SensitivitySweep(
-    graph::GraphView g, const ExtractorOptions& options, size_t min_k = 1,
-    size_t max_k = 0);
+    graph::GraphView g, const ExtractorOptions& options, size_t max_k = 0);
 
 }  // namespace schemex::extract
 

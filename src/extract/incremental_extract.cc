@@ -1,5 +1,6 @@
 #include "extract/incremental_extract.h"
 
+#include <optional>
 #include <utility>
 
 #include "extract/pipeline_internal.h"
@@ -16,11 +17,6 @@ ExtractionCache MakeExtractionCache(const ExtractionResult& result,
   cache.options = options;
   cache.options.check_cancel = nullptr;
   if (result.clustering_applied && !options.decompose_roles) {
-    cache.clustering_cached = true;
-    // Without roles, the Stage-2 inputs are exactly the perfect program
-    // and its per-type weights (PrepareForClustering's identity path).
-    cache.stage2_program = result.perfect.program;
-    cache.stage2_weights = result.perfect.weight;
     cache.clustering = result.clustering;
   }
   return cache;
@@ -57,6 +53,7 @@ util::StatusOr<ExtractionResult> ReExtract(
     SCHEMEX_ASSIGN_OR_RETURN(
         perfect,
         typing::IncrementalRefine(g, cache.perfect, touched, ro, &rstats));
+    SCHEMEX_RETURN_IF_ERROR(ro.exec.Poll());
     st.incremental_stage1 = !rstats.fell_back;
     st.stage1_fallback_reason = rstats.fallback_reason;
     st.dirty_seed = rstats.seed_dirty;
@@ -68,26 +65,27 @@ util::StatusOr<ExtractionResult> ReExtract(
         "cache produced by stage1=gfp; incremental Stage 1 requires "
         "refinement";
   }
-  double stage1_ms = stage_timer.ElapsedMillis();
-  SCHEMEX_RETURN_IF_ERROR(internal::PollCancel(check_cancel));
+  ExtractionResult result;
+  result.timings.stage1_ms = stage_timer.ElapsedMillis();
+  const internal::PreClusterState state =
+      internal::PrepareForClustering(options, std::move(perfect), &result);
 
-  // Stages 2+3 via the cold pipeline, offering the cached clustering for
-  // reuse when it exists and was produced at the same k (the other
-  // option fields match by construction above).
-  internal::Stage2Reuse reuse;
-  const internal::Stage2Reuse* reuse_ptr = nullptr;
-  if (cache.clustering_cached &&
-      options.target_num_types == cache.options.target_num_types) {
-    reuse.program = &cache.stage2_program;
-    reuse.weights = &cache.stage2_weights;
-    reuse.clustering = &cache.clustering;
-    reuse_ptr = &reuse;
+  // Stages 2+3 via the cold pipeline, adopting the cached clustering if
+  // it was made at the same k (the other options match by construction)
+  // from the same inputs: without roles, the perfect program and weights.
+  stage_timer.Restart();
+  std::optional<cluster::ClusteringResult> cached;
+  st.stage2_reused =
+      cache.clustering.has_value() &&
+      options.target_num_types == cache.options.target_num_types &&
+      result.perfect.weight == cache.perfect.weight &&
+      result.perfect.program == cache.perfect.program;
+  if (st.stage2_reused) {
+    cached = cache.clustering;
+    result.timings.cluster_ms = stage_timer.ElapsedMillis();
   }
-  SCHEMEX_ASSIGN_OR_RETURN(
-      ExtractionResult result,
-      internal::FinishExtraction(options, g, std::move(perfect), reuse_ptr,
-                                 &st.stage2_reused));
-  result.timings.stage1_ms = stage1_ms;
+  SCHEMEX_RETURN_IF_ERROR(internal::FinishExtraction(
+      options, g, state, std::move(cached), &result));
   result.timings.total_ms = total_timer.ElapsedMillis();
   return result;
 }

@@ -2,6 +2,7 @@
 #define SCHEMEX_EXTRACT_INCREMENTAL_EXTRACT_H_
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,19 +14,14 @@ namespace schemex::extract {
 /// Everything a finished extraction leaves behind for the next
 /// incremental one: the Stage-1 partition (the seed of incremental
 /// re-refinement) and, when clustering ran without role decomposition,
-/// the exact Stage-2 inputs and output so a delta that leaves the
-/// perfect typing unchanged skips Stage 2 entirely.
+/// the Stage-2 output, so a delta that leaves the perfect typing
+/// unchanged skips Stage 2 entirely.
 struct ExtractionCache {
   typing::PerfectTypingResult perfect;
 
-  /// Stage-2 reuse state; meaningful only when clustering_cached.
-  /// stage2_program/stage2_weights are the inputs ClusterTypes saw
-  /// (== perfect program/weights when roles are off), clustering its
-  /// output.
-  bool clustering_cached = false;
-  typing::TypingProgram stage2_program;
-  std::vector<uint32_t> stage2_weights;
-  cluster::ClusteringResult clustering;
+  /// The Stage-2 output, kept only by runs without roles, so ClusterTypes'
+  /// inputs were perfect.program and perfect.weight.
+  std::optional<cluster::ClusteringResult> clustering;
 
   /// The options the cached run used, check_cancel cleared (the hook
   /// belongs to that run's request). ReExtract replays them, so the
@@ -41,7 +37,8 @@ struct ExtractionCache {
   size_t chosen_k = 0;
 };
 
-/// Captures the reusable state of a finished `Run(options)` extraction.
+/// Captures the reusable state of a finished `Run(options)` extraction
+/// (or ExtractAtKnee's, with options.target_num_types = the knee's k).
 /// Role-decomposed runs cache only the Stage-1 result (their Stage-2
 /// inputs are the role program, which the result does not carry in
 /// reusable form), so their re-extractions re-cluster cold.
@@ -73,12 +70,13 @@ struct ReExtractStats {
 /// Incremental re-extraction: the cached run's pipeline re-executed over
 /// the mutated graph `g`, with Stage 1 seeded from the cached partition
 /// (dirty set = `touched`, typically DataGraph::TouchedComplexObjects())
-/// and Stage 2 skipped when its inputs are unchanged. `k` = 0 reuses the
-/// cached k; `check_cancel` is the run's cancellation hook. The result
-/// is bit-identical to SchemaExtractor::Run over `g` with the cache's
-/// options (same k) — Stages 2/3 share the cold code path outright, and
-/// incremental Stage 1 is pinned against the cold refinement by
-/// construction and by determinism tests.
+/// and the cached clustering adopted when its inputs are unchanged: same
+/// k, and a perfect program and weights equal to the cache's. `k` = 0
+/// reuses the cached k; `check_cancel` is the run's cancellation hook.
+/// The result is bit-identical to SchemaExtractor::Run over `g` with the
+/// cache's options (same k) — Stages 2/3 share the cold code path
+/// outright, and incremental Stage 1 is pinned against the cold
+/// refinement by construction and by determinism tests.
 util::StatusOr<ExtractionResult> ReExtract(
     graph::GraphView g, const ExtractionCache& cache,
     std::span<const graph::ObjectId> touched, size_t k,

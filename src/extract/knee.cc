@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <utility>
+
+#include "extract/pipeline_internal.h"
+#include "util/timer.h"
 
 namespace schemex::extract {
 
@@ -51,6 +56,87 @@ std::vector<size_t> NaturalTypeCounts(
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+namespace {
+
+/// The sweep's one pass: Stage 1, the roles pass, one ClusterTypes ladder
+/// down to k = 1 recording the snapshots at k <= max_k (0 = every k), a
+/// recast + defect per snapshot, and with `knee` set the knee's
+/// extraction, finished from the ladder's rung at that k.
+util::StatusOr<KneeExtraction> Sweep(graph::GraphView g,
+                                     const ExtractorOptions& options,
+                                     size_t max_k, const KneeOptions* knee) {
+  util::WallTimer total_timer;
+  KneeExtraction out;
+  StageTimings& timings = out.result.timings;
+  util::WallTimer stage_timer;
+  SCHEMEX_ASSIGN_OR_RETURN(typing::PerfectTypingResult perfect,
+                           internal::RunStage1(options, g));
+  timings.stage1_ms = stage_timer.ElapsedMillis();
+  const internal::PreClusterState state = internal::PrepareForClustering(
+      options, std::move(perfect), &out.result);
+
+  stage_timer.Restart();
+  const typing::ExecOptions exec{.check_cancel = options.check_cancel};
+  SCHEMEX_ASSIGN_OR_RETURN(
+      cluster::ClusteringResult ladder,
+      cluster::ClusterTypes(state.program, state.weights,
+                            {.psi = options.psi,
+                             .target_num_types = 1,
+                             .enable_empty_type = options.enable_empty_type,
+                             .record_snapshots = true,
+                             .max_snapshot_types = max_k},
+                            exec));
+  timings.cluster_ms = stage_timer.ElapsedMillis();
+
+  stage_timer.Restart();
+  for (const cluster::Snapshot& snap : ladder.snapshots) {
+    SCHEMEX_RETURN_IF_ERROR(exec.Poll());
+    SCHEMEX_ASSIGN_OR_RETURN(
+        typing::RecastResult recast,
+        typing::Recast(snap.program, g,
+                       internal::MapHomesThrough(state.homes,
+                                                 snap.stage1_to_snapshot),
+                       options.recast, exec));
+    typing::DefectReport defect =
+        typing::ComputeDefect(snap.program, g, recast.assignment);
+    out.points.push_back(SensitivityPoint{snap.num_types, snap.total_distance,
+                                          defect.excess, defect.deficit,
+                                          defect.defect()});
+  }
+  if (knee == nullptr) return out;
+  out.knee = FindKnee(out.points, *knee);
+  timings.sweep_ms = stage_timer.ElapsedMillis();
+
+  // Adopt the ladder's rung at the knee; the other snapshots go with it.
+  ExtractorOptions at_knee = options;
+  at_knee.target_num_types = out.knee.k;
+  std::optional<cluster::ClusteringResult> rung;
+  for (cluster::Snapshot& snap : ladder.snapshots) {
+    if (snap.num_types != out.knee.k) continue;
+    rung =
+        cluster::ClusteringAtSnapshot(ladder, std::move(snap), state.weights);
+  }
+  SCHEMEX_RETURN_IF_ERROR(internal::FinishExtraction(
+      at_knee, g, state, std::move(rung), &out.result));
+  timings.total_ms = total_timer.ElapsedMillis();
+  return out;
+}
+
+}  // namespace
+
+util::StatusOr<std::vector<SensitivityPoint>> SensitivitySweep(
+    graph::GraphView g, const ExtractorOptions& options, size_t max_k) {
+  SCHEMEX_ASSIGN_OR_RETURN(KneeExtraction sweep,
+                           Sweep(g, options, max_k, /*knee=*/nullptr));
+  return std::move(sweep.points);
+}
+
+util::StatusOr<KneeExtraction> ExtractAtKnee(
+    graph::GraphView g, const ExtractorOptions& options,
+    const KneeOptions& knee_options) {
+  return Sweep(g, options, knee_options.max_types, &knee_options);
 }
 
 }  // namespace schemex::extract

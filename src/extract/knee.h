@@ -13,13 +13,10 @@ namespace schemex::extract {
 /// trade-off point and suggest a 'natural' typing (or a small set)".
 struct KneeOptions {
   /// Only consider typings with at most this many types (the regime
-  /// where a typing is usable as a schema). 0 = no cap. Points above the
-  /// cap are never read, so a sweep capped at the same value
-  /// (SensitivitySweep's max_k) yields the same knee. An uncapped full
-  /// sweep is degenerate: it includes k = n, the perfect typing, at
-  /// defect 0, so the tolerance admits only defect-0 points and the knee
-  /// is the smallest k with defect 0 (usually n). The service rejects
-  /// auto-k with max_types 0 for that reason.
+  /// where a typing is usable as a schema), so a sweep capped at the same
+  /// value yields the same knee; ExtractAtKnee sweeps only those. 0 = no
+  /// cap, which is degenerate: k = n, the perfect typing, is in range at
+  /// defect 0, so the knee is the smallest k with defect 0 (usually n).
   size_t max_types = 20;
 
   /// Accept any k whose defect is within this factor of the best defect
@@ -46,6 +43,24 @@ Knee FindKnee(const std::vector<SensitivityPoint>& points,
 std::vector<size_t> NaturalTypeCounts(
     const std::vector<SensitivityPoint>& points,
     const KneeOptions& options = {});
+
+/// An auto-k extraction: SensitivitySweep(g, options,
+/// knee_options.max_types)'s points, their knee, and the extraction
+/// SchemaExtractor::Run would return at target_num_types = knee.k.
+struct KneeExtraction {
+  std::vector<SensitivityPoint> points;
+  Knee knee;
+  ExtractionResult result;
+};
+
+/// Auto-k in one pass (§6's sliding scale read off one ladder): the
+/// sweep, FindKnee, and the knee's extraction finished from the ladder's
+/// own rung with one more recast, keeping no snapshots. Timings count
+/// each interval once: cluster_ms is the ladder, sweep_ms the points and
+/// the knee. `options.target_num_types` is ignored.
+util::StatusOr<KneeExtraction> ExtractAtKnee(
+    graph::GraphView g, const ExtractorOptions& options,
+    const KneeOptions& knee_options = {});
 
 }  // namespace schemex::extract
 

@@ -1,13 +1,13 @@
 #ifndef SCHEMEX_EXTRACT_PIPELINE_INTERNAL_H_
 #define SCHEMEX_EXTRACT_PIPELINE_INTERNAL_H_
 
-#include <functional>
+#include <optional>
 #include <vector>
 
 #include "extract/extractor.h"
 
-/// Pipeline stages shared by SchemaExtractor::Run, SensitivitySweep and
-/// the incremental re-extractor (incremental_extract.cc). The
+/// Pipeline stages shared by SchemaExtractor::Run, the sweeps in knee.cc
+/// and the incremental re-extractor (incremental_extract.cc). The
 /// incremental path's bit-identity contract — its output must equal a
 /// cold extraction of the same graph — holds by construction because
 /// both paths execute THESE functions for Stages 2 and 3; only Stage 1
@@ -15,7 +15,8 @@
 /// identical by typing/incremental_refine.h).
 namespace schemex::extract::internal {
 
-/// Stage 1 with the options' algorithm and cancellation.
+/// Stage 1 with the options' algorithm and cancellation, polled inside
+/// and once more after it.
 util::StatusOr<typing::PerfectTypingResult> RunStage1(
     const ExtractorOptions& options, graph::GraphView g);
 
@@ -26,10 +27,12 @@ struct PreClusterState {
   std::vector<uint32_t> weights;  // per type: #objects with home
 };
 
+/// Records a finished Stage 1 in `result`, runs the roles pass over it
+/// when options.decompose_roles, and returns the clustering inputs
+/// (without roles: the perfect program, homes and weights).
 PreClusterState PrepareForClustering(const ExtractorOptions& options,
-                                     const typing::PerfectTypingResult& perfect,
-                                     typing::RoleDecomposition* roles,
-                                     bool* roles_applied);
+                                     typing::PerfectTypingResult perfect,
+                                     ExtractionResult* result);
 
 /// Applies a stage1->final type map to home sets, dropping empty-type
 /// entries and deduplicating.
@@ -37,32 +40,17 @@ std::vector<std::vector<typing::TypeId>> MapHomesThrough(
     const std::vector<std::vector<typing::TypeId>>& homes,
     const std::vector<typing::TypeId>& map);
 
-/// Polls an optional cancellation hook; stages run only between OK polls.
-util::Status PollCancel(const std::function<util::Status()>& check_cancel);
-
-/// A cached Stage-2 run offered to FinishExtraction: the clustering
-/// output is adopted verbatim iff the fresh Stage-2 inputs match the
-/// cached ones exactly (program and weights compared element-wise; the
-/// hot case is an unchanged perfect typing after a type-preserving
-/// delta). The CALLER is responsible for only offering a cache whose
-/// ClusteringOptions-affecting fields (psi, target_num_types,
-/// enable_empty_type) match `options` — FinishExtraction cannot see the
-/// cached run's options.
-struct Stage2Reuse {
-  const typing::TypingProgram* program = nullptr;   // cached stage-2 input
-  const std::vector<uint32_t>* weights = nullptr;   // cached input weights
-  const cluster::ClusteringResult* clustering = nullptr;  // cached output
-};
-
-/// Stages 2 + 3 + defect over a finished Stage-1 result: role
-/// decomposition, clustering (or the reuse short-circuit), recast and
-/// defect measurement. Fills every ExtractionResult field except
-/// timings.stage1_ms / timings.total_ms, which belong to the caller.
-/// `stage2_reused` (optional) reports whether `reuse` was adopted.
-util::StatusOr<ExtractionResult> FinishExtraction(
+/// Stages 2 + 3 + defect over `result`, which PrepareForClustering began
+/// with `state`. Stage 2 (skipped at target 0 or >= the type count)
+/// adopts `clustering` when set: a result already computed for exactly
+/// `state` and `options` (the knee ladder's rung, or a cached clustering
+/// of an unchanged perfect typing), whose cluster_ms is the caller's.
+/// Fills every field but timings.stage1_ms, sweep_ms and total_ms.
+util::Status FinishExtraction(
     const ExtractorOptions& options, graph::GraphView g,
-    typing::PerfectTypingResult perfect, const Stage2Reuse* reuse = nullptr,
-    bool* stage2_reused = nullptr);
+    const PreClusterState& state,
+    std::optional<cluster::ClusteringResult> clustering,
+    ExtractionResult* result);
 
 }  // namespace schemex::extract::internal
 

@@ -89,20 +89,14 @@ Value WorkspaceSummary(const std::string& name, const catalog::Workspace& ws) {
   return Value::Object(WorkspaceSummaryFields(name, ws));
 }
 
-/// Wall time and size of the knee sweep behind an auto-k extract.
-struct SweepCost {
-  double ms = 0;
-  size_t points = 0;  ///< k values recast
-};
-
 /// The response fields extract and re_extract share: type counts, the
-/// defect, recast tallies and per-stage wall time, plus the knee sweep's
-/// cost when `sweep` is set (auto-k extract) and the SaveWorkspace time
-/// when `save_ms` is set (save_dir given). The times are also folded
-/// into the per-stage histograms (extract.stage1, ..., extract.sweep,
+/// defect, recast tallies and per-stage wall time, plus the knee sweep
+/// (`sweep_points` set: auto-k) and the save (`save_ms` set). The times
+/// also feed the per-stage histograms (extract.stage1, ..., extract.sweep,
 /// extract.save) that `stats` reports.
 void AddExtractionFields(const extract::ExtractionResult& result,
-                         const SweepCost* sweep, std::optional<double> save_ms,
+                         std::optional<size_t> sweep_points,
+                         std::optional<double> save_ms,
                          MetricsRegistry* metrics,
                          std::map<std::string, Value>* f) {
   (*f)["num_perfect_types"] = JsonUint(result.num_perfect_types);
@@ -127,10 +121,10 @@ void AddExtractionFields(const extract::ExtractionResult& result,
   tf["cluster_ms"] = Value::Number(t.cluster_ms);
   tf["recast_ms"] = Value::Number(t.recast_ms);
   tf["total_ms"] = Value::Number(t.total_ms);
-  if (sweep != nullptr) {
-    tf["sweep_ms"] = Value::Number(sweep->ms);
-    (*f)["sweep_points"] = JsonUint(sweep->points);
-    metrics->Record("extract.sweep", sweep->ms, /*ok=*/true,
+  if (sweep_points.has_value()) {
+    tf["sweep_ms"] = Value::Number(t.sweep_ms);
+    (*f)["sweep_points"] = JsonUint(*sweep_points);
+    metrics->Record("extract.sweep", t.sweep_ms, /*ok=*/true,
                     /*timeout=*/false);
   }
   if (save_ms.has_value()) {
@@ -145,6 +139,32 @@ void AddExtractionFields(const extract::ExtractionResult& result,
                   /*timeout=*/false);
   metrics->Record("extract.recast", t.recast_ms, /*ok=*/true,
                   /*timeout=*/false);
+}
+
+/// The generation extract and re_extract commit over `current`: the
+/// schema and assignment of `result` (run with `opt`) over the shared
+/// graph, so the swap is O(schema); the cache a later re_extract starts
+/// from; and a spent mutation log. With `save_dir` set it is saved there,
+/// taking `*save_ms`.
+util::StatusOr<catalog::Workspace> CommitExtraction(
+    const catalog::Workspace& current, const extract::ExtractionResult& result,
+    const extract::ExtractorOptions& opt, const std::string& save_dir,
+    std::optional<double>* save_ms) {
+  catalog::Workspace next = current;
+  next.program = result.final_program;
+  next.assignment = result.recast.assignment;
+  next.extraction_cache = std::make_shared<const extract::ExtractionCache>(
+      extract::MakeExtractionCache(result, opt));
+  next.mutation_log.clear();
+  next.delta_arrivals = 0;
+  next.delta_exact = 0;
+  SCHEMEX_RETURN_IF_ERROR(next.Validate());
+  if (!save_dir.empty()) {
+    util::WallTimer save_timer;
+    SCHEMEX_RETURN_IF_ERROR(catalog::SaveWorkspace(next, save_dir));
+    *save_ms = save_timer.ElapsedMillis();
+  }
+  return next;
 }
 
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
@@ -418,11 +438,9 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
   opt.decompose_roles = p.decompose_roles;
   opt.check_cancel = DeadlineHook(deadline, "extract pipeline");
 
-  // k == 0 = automatic: sweep the k axis and take the §8 knee within the
-  // epsilon tolerance. The knee never picks k > max_types, so the sweep
-  // recasts only k <= max_types.
-  size_t chosen_k = static_cast<size_t>(p.k);
-  bool auto_k = chosen_k == 0;
+  // k == 0 = automatic: one pass sweeps k <= max_types, takes the §8 knee
+  // within the epsilon tolerance and finishes the knee's extraction.
+  const bool auto_k = p.k == 0;
   if (auto_k && p.max_types == 0) {
     return util::Status::InvalidArgument(
         "k 0 with max_types 0 would always return the unclustered Stage-1 "
@@ -430,53 +448,30 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
         "tolerance admits only defect-0 points; set max_types >= 1 or a "
         "fixed k");
   }
-  SweepCost sweep_cost;
+  extract::KneeExtraction run;  // points and knee stay empty at fixed k
   if (auto_k) {
-    extract::KneeOptions knee_opt;
-    knee_opt.max_types = static_cast<size_t>(p.max_types);
-    knee_opt.tolerance = p.epsilon;
-    util::WallTimer sweep_timer;
     SCHEMEX_ASSIGN_OR_RETURN(
-        std::vector<extract::SensitivityPoint> sweep,
-        extract::SensitivitySweep(g, opt, /*min_k=*/1, knee_opt.max_types));
-    sweep_cost.ms = sweep_timer.ElapsedMillis();
-    sweep_cost.points = sweep.size();
-    extract::Knee knee = extract::FindKnee(sweep, knee_opt);
-    chosen_k = knee.k;  // 0 on an empty sweep: keep the perfect typing
+        run, extract::ExtractAtKnee(
+                 g, opt,
+                 {.max_types = static_cast<size_t>(p.max_types),
+                  .tolerance = p.epsilon}));
+    opt.target_num_types = run.knee.k;  // 0: empty sweep, perfect typing
+  } else {
+    opt.target_num_types = static_cast<size_t>(p.k);
+    SCHEMEX_ASSIGN_OR_RETURN(run.result, extract::SchemaExtractor(opt).Run(g));
   }
-  opt.target_num_types = chosen_k;
-
-  SCHEMEX_ASSIGN_OR_RETURN(extract::ExtractionResult result,
-                           extract::SchemaExtractor(opt).Run(g));
-
-  // Share the graph (and any overlay): the new generation differs only
-  // in its schema/assignment, so the swap is O(schema), not O(graph).
-  // The extraction leaves a cache behind — the seed of a later
-  // re_extract — and clears the mutation log: the new partition reflects
-  // every delta applied so far, so the log is spent.
-  catalog::Workspace next = *snapshot;
-  next.program = result.final_program;
-  next.assignment = result.recast.assignment;
-  next.extraction_cache = std::make_shared<const extract::ExtractionCache>(
-      extract::MakeExtractionCache(result, opt));
-  next.mutation_log.clear();
-  next.delta_arrivals = 0;
-  next.delta_exact = 0;
-  SCHEMEX_RETURN_IF_ERROR(next.Validate());
-
   std::optional<double> save_ms;
-  if (!p.save_dir.empty()) {
-    util::WallTimer save_timer;
-    SCHEMEX_RETURN_IF_ERROR(catalog::SaveWorkspace(next, p.save_dir));
-    save_ms = save_timer.ElapsedMillis();
-  }
+  SCHEMEX_ASSIGN_OR_RETURN(
+      catalog::Workspace next,
+      CommitExtraction(*snapshot, run.result, opt, p.save_dir, &save_ms));
 
   std::map<std::string, Value> f;
   f["workspace"] = Value::String(p.workspace);
-  f["k"] = JsonUint(chosen_k);
+  f["k"] = JsonUint(opt.target_num_types);
   f["auto_k"] = Value::Bool(auto_k);
-  AddExtractionFields(result, auto_k ? &sweep_cost : nullptr, save_ms,
-                      &metrics_, &f);
+  AddExtractionFields(run.result,
+                      auto_k ? std::optional(run.points.size()) : std::nullopt,
+                      save_ms, &metrics_, &f);
   if (!p.save_dir.empty()) f["saved_to"] = Value::String(p.save_dir);
 
   PutWorkspace(p.workspace, std::move(next));
@@ -826,29 +821,13 @@ util::StatusOr<json::Value> Server::HandleReExtract(
       extract::ReExtract(g, cache, touched, static_cast<size_t>(p.k),
                          DeadlineHook(deadline, "extract pipeline"), inc,
                          &rstats));
-  const size_t chosen_k =
-      p.k != 0 ? static_cast<size_t>(p.k) : cache.options.target_num_types;
-
-  // The options the run effectively replayed, for the fresh cache.
+  // The options the run replayed, for the fresh cache.
   extract::ExtractorOptions opt = cache.options;
-  opt.target_num_types = chosen_k;
-
-  catalog::Workspace next = *snapshot;
-  next.program = result.final_program;
-  next.assignment = result.recast.assignment;
-  next.extraction_cache = std::make_shared<const extract::ExtractionCache>(
-      extract::MakeExtractionCache(result, opt));
-  next.mutation_log.clear();
-  next.delta_arrivals = 0;
-  next.delta_exact = 0;
-  SCHEMEX_RETURN_IF_ERROR(next.Validate());
-
+  if (p.k != 0) opt.target_num_types = static_cast<size_t>(p.k);
   std::optional<double> save_ms;
-  if (!p.save_dir.empty()) {
-    util::WallTimer save_timer;
-    SCHEMEX_RETURN_IF_ERROR(catalog::SaveWorkspace(next, p.save_dir));
-    save_ms = save_timer.ElapsedMillis();
-  }
+  SCHEMEX_ASSIGN_OR_RETURN(
+      catalog::Workspace next,
+      CommitExtraction(*snapshot, result, opt, p.save_dir, &save_ms));
 
   metrics_.AddCounter("delta.re_extracts", 1);
   if (rstats.incremental_stage1) {
@@ -858,9 +837,10 @@ util::StatusOr<json::Value> Server::HandleReExtract(
 
   std::map<std::string, Value> f;
   f["workspace"] = Value::String(p.workspace);
-  f["k"] = JsonUint(chosen_k);
+  f["k"] = JsonUint(opt.target_num_types);
   f["generation"] = JsonUint(next.generation);
-  AddExtractionFields(result, /*sweep=*/nullptr, save_ms, &metrics_, &f);
+  AddExtractionFields(result, /*sweep_points=*/std::nullopt, save_ms,
+                      &metrics_, &f);
   {
     std::map<std::string, Value> i;
     i["stage1_incremental"] = Value::Bool(rstats.incremental_stage1);

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
+#include <vector>
 
+#include "cluster/greedy.h"
 #include "extract/extractor.h"
 #include "extract/knee.h"
 #include "gen/dbg.h"
+#include "gen/spec.h"
 #include "gen/table1.h"
 #include "json/import.h"
 #include "tests/test_util.h"
@@ -141,14 +145,6 @@ TEST(SensitivityTest, DefectExplodesAtTinyK) {
   EXPECT_GT(defect_at_1, defect_at_8 * 2);
 }
 
-TEST(SensitivityTest, MinKRespected) {
-  graph::DataGraph g = test::MakeFigure4Database();
-  ExtractorOptions opt;
-  ASSERT_OK_AND_ASSIGN(std::vector<SensitivityPoint> pts,
-                       SensitivitySweep(g, opt, /*min_k=*/2));
-  EXPECT_EQ(pts.back().k, 2u);
-}
-
 /// Field-by-field equality of two sweeps, so a mismatch names the k.
 void ExpectSamePoints(const std::vector<SensitivityPoint>& got,
                       const std::vector<SensitivityPoint>& want) {
@@ -175,13 +171,13 @@ void ExpectCappedSweepsExact(graph::GraphView g) {
   ASSERT_GT(n, 20u);
   {
     ASSERT_OK_AND_ASSIGN(std::vector<SensitivityPoint> uncapped,
-                         SensitivitySweep(g, opt, /*min_k=*/1, /*max_k=*/0));
+                         SensitivitySweep(g, opt, /*max_k=*/0));
     ExpectSamePoints(uncapped, full);
   }
   for (size_t m : {size_t{1}, size_t{6}, size_t{20}, n - 1, n, n + 5}) {
     SCOPED_TRACE("max_k " + std::to_string(m));
     ASSERT_OK_AND_ASSIGN(std::vector<SensitivityPoint> capped,
-                         SensitivitySweep(g, opt, /*min_k=*/1, m));
+                         SensitivitySweep(g, opt, m));
     std::vector<SensitivityPoint> tail;
     for (const SensitivityPoint& p : full) {
       if (p.k <= m) tail.push_back(p);
@@ -207,6 +203,173 @@ TEST(SensitivityTest, CappedSweepIsFullSweepTailOnTable1) {
   ASSERT_EQ(db2.db_name, "DB2");
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeTable1Database(db2));
   ExpectCappedSweepsExact(g);
+}
+
+/// The ExtractAtKnee inputs: Table 1's DB1–DB8 (DB3's knee is its n),
+/// "DBG<seed>x<scale>", "DB1x10" and "empty" (whose knee is 0).
+util::StatusOr<graph::DataGraph> MakeKneeInput(const std::string& name) {
+  if (name == "empty") return graph::DataGraph();
+  const std::vector<gen::Table1Entry> table1 = gen::Table1Datasets();
+  for (const gen::Table1Entry& e : table1) {
+    if (e.db_name == name) return gen::MakeTable1Database(e);
+  }
+  gen::DatasetSpec spec = table1.front().spec;
+  unsigned seed = static_cast<unsigned>(table1.front().generation_seed);
+  unsigned scale = 10;
+  if (name != "DB1x10") {
+    EXPECT_EQ(std::sscanf(name.c_str(), "DBG%ux%u", &seed, &scale), 2);
+    spec = gen::DbgSpec();
+  }
+  for (gen::TypeSpec& t : spec.types) t.count *= scale;
+  return gen::Generate(spec, seed);
+}
+
+void ExpectSameClustering(const cluster::ClusteringResult& got,
+                          const cluster::ClusteringResult& want) {
+  ASSERT_EQ(got.steps.size(), want.steps.size());
+  for (size_t i = 0; i < want.steps.size(); ++i) {
+    EXPECT_EQ(got.steps[i].num_types_after, want.steps[i].num_types_after);
+    EXPECT_EQ(got.steps[i].source, want.steps[i].source) << "step " << i;
+    EXPECT_EQ(got.steps[i].dest, want.steps[i].dest) << "step " << i;
+    EXPECT_EQ(got.steps[i].simple_d, want.steps[i].simple_d) << "step " << i;
+    EXPECT_EQ(got.steps[i].cost, want.steps[i].cost) << "step " << i;
+  }
+  EXPECT_TRUE(got.final_program == want.final_program);
+  EXPECT_EQ(got.final_map, want.final_map);
+  EXPECT_EQ(got.final_weights, want.final_weights);
+  EXPECT_EQ(got.total_distance, want.total_distance);
+}
+
+void ExpectSameCounters(const cluster::ClusteringCounters& got,
+                        const cluster::ClusteringCounters& want) {
+  EXPECT_EQ(got.rows_computed, want.rows_computed);
+  EXPECT_EQ(got.postings_walked, want.postings_walked);
+  EXPECT_EQ(got.candidates_priced, want.candidates_priced);
+  EXPECT_EQ(got.rescans_own_body_changed, want.rescans_own_body_changed);
+  EXPECT_EQ(got.rescans_dest_died, want.rescans_dest_died);
+  EXPECT_EQ(got.rescans_dest_changed, want.rescans_dest_changed);
+  EXPECT_EQ(got.rescans_is_dest, want.rescans_is_dest);
+  EXPECT_EQ(got.rescans_dest_weight_priced, want.rescans_dest_weight_priced);
+}
+
+/// The counters of one ClusterTypes ladder down to k = 1 over the
+/// Stage-2 inputs `r` clustered: the perfect typing, or the roles pass's
+/// program and homes.
+cluster::ClusteringCounters LadderCounters(const ExtractionResult& r,
+                                           const ExtractorOptions& opt) {
+  const typing::TypingProgram& program =
+      r.roles_applied ? r.roles.program : r.perfect.program;
+  std::vector<uint32_t> weights = r.perfect.weight;
+  if (r.roles_applied) {
+    weights.assign(program.NumTypes(), 0);
+    for (const auto& hs : r.roles.MapHomes(r.perfect.home)) {
+      for (typing::TypeId t : hs) ++weights[static_cast<size_t>(t)];
+    }
+  }
+  cluster::ClusteringOptions copt;
+  copt.psi = opt.psi;
+  copt.enable_empty_type = opt.enable_empty_type;
+  copt.target_num_types = 1;
+  auto ladder = cluster::ClusterTypes(program, weights, copt);
+  EXPECT_TRUE(ladder.ok()) << ladder.status().ToString();
+  return ladder.ok() ? ladder->counters : cluster::ClusteringCounters{};
+}
+
+class ExtractAtKneeTest : public ::testing::TestWithParam<std::string> {};
+
+/// ExtractAtKnee must equal the two passes it replaces: its points are
+/// the capped sweep's (the full sweep's tail, as the CappedSweep tests
+/// pin), its knee FindKnee's over them, and its result
+/// SchemaExtractor::Run's at the knee. The result's clustering is the
+/// one ladder's rung: no snapshots, and that ladder's counters (a second
+/// run to k would count less work).
+TEST_P(ExtractAtKneeTest, EqualsSweepKneeAndRunAtTheKnee) {
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, MakeKneeInput(GetParam()));
+  for (Stage1 stage1 : {Stage1::kRefinement, Stage1::kGfp}) {
+    for (bool roles : {false, true}) {
+      ExtractorOptions opt;
+      opt.stage1 = stage1;
+      opt.decompose_roles = roles;
+      ASSERT_OK_AND_ASSIGN(std::vector<SensitivityPoint> full,
+                           SensitivitySweep(g, opt));
+      ASSERT_FALSE(full.empty());
+      const size_t n = full.front().k;  // the type count Stage 2 starts from
+      for (size_t max_types : {size_t{1}, size_t{5}, size_t{20}, n, n + 5}) {
+        SCOPED_TRACE(std::string(stage1 == Stage1::kGfp ? "gfp" : "refinement") +
+                     (roles ? " roles" : "") + " max_types " +
+                     std::to_string(max_types) + " n " + std::to_string(n));
+        KneeOptions knee_opt;
+        knee_opt.max_types = max_types;
+        ASSERT_OK_AND_ASSIGN(KneeExtraction got,
+                             ExtractAtKnee(g, opt, knee_opt));
+        std::vector<SensitivityPoint> points;
+        for (const SensitivityPoint& p : full) {
+          if (max_types == 0 || p.k <= max_types) points.push_back(p);
+        }
+        ExpectSamePoints(got.points, points);
+        const Knee knee = FindKnee(points, knee_opt);
+        EXPECT_EQ(got.knee.k, knee.k);
+        EXPECT_EQ(got.knee.defect, knee.defect);
+        EXPECT_EQ(got.knee.best_defect_in_range, knee.best_defect_in_range);
+
+        ExtractorOptions at_knee = opt;
+        at_knee.target_num_types = knee.k;
+        ASSERT_OK_AND_ASSIGN(ExtractionResult want,
+                             SchemaExtractor(at_knee).Run(g));
+        const ExtractionResult& r = got.result;
+        EXPECT_TRUE(r.final_program == want.final_program);
+        EXPECT_EQ(r.final_homes, want.final_homes);
+        EXPECT_TRUE(r.recast.assignment == want.recast.assignment);
+        EXPECT_EQ(r.defect.excess, want.defect.excess);
+        EXPECT_EQ(r.defect.deficit, want.defect.deficit);
+        EXPECT_EQ(r.num_perfect_types, want.num_perfect_types);
+        EXPECT_EQ(r.num_final_types, want.num_final_types);
+        EXPECT_EQ(r.clustering_applied, want.clustering_applied);
+        EXPECT_EQ(r.roles_applied, want.roles_applied);
+        ExpectSameClustering(r.clustering, want.clustering);
+        EXPECT_TRUE(r.clustering.snapshots.empty());
+        if (r.clustering_applied) {
+          ExpectSameCounters(r.clustering.counters, LadderCounters(r, opt));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, ExtractAtKneeTest,
+    ::testing::Values("DB1", "DB2", "DB3", "DB4", "DB5", "DB6", "DB7", "DB8",
+                      "DBG42x1", "DBG1x1", "DBG2x1", "DBG3x1", "DBG42x2",
+                      "DBG1x2", "DBG2x2", "DBG3x2", "DB1x10", "empty"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+TEST(ExtractAtKneeTest, KneeAtNSkipsStage2AndEmptyGraphKeepsThePerfectTyping) {
+  // DB3's knee under the default cap is its whole perfect typing.
+  const gen::Table1Entry db3 = gen::Table1Datasets()[2];
+  ASSERT_EQ(db3.db_name, "DB3");
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeTable1Database(db3));
+  ASSERT_OK_AND_ASSIGN(KneeExtraction at_n, ExtractAtKnee(g, {}));
+  EXPECT_EQ(at_n.knee.k, at_n.result.num_perfect_types);
+  EXPECT_FALSE(at_n.result.clustering_applied);
+
+  ASSERT_OK_AND_ASSIGN(KneeExtraction empty,
+                       ExtractAtKnee(graph::DataGraph(), {}));
+  EXPECT_EQ(empty.knee.k, 0u);
+  EXPECT_FALSE(empty.result.clustering_applied);
+  EXPECT_EQ(empty.result.num_final_types, 0u);
+}
+
+TEST(ExtractAtKneeTest, TimingsCountEachIntervalOnce) {
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(KneeExtraction got, ExtractAtKnee(g, {}));
+  const StageTimings& t = got.result.timings;
+  EXPECT_TRUE(got.result.clustering_applied);
+  EXPECT_GT(t.cluster_ms, 0.0);
+  EXPECT_GT(t.sweep_ms, 0.0);
+  EXPECT_GT(t.recast_ms, 0.0);
+  EXPECT_GE(t.total_ms, t.stage1_ms + t.cluster_ms + t.sweep_ms + t.recast_ms);
 }
 
 TEST(CancellationTest, CheckCancelAbortsBetweenStages) {
@@ -262,7 +425,7 @@ TEST(CancellationTest, SweepPollsBetweenSnapshots) {
     ++polls;
     return util::Status::OK();
   };
-  ASSERT_OK(SensitivitySweep(g, opt, /*min_k=*/1, /*max_k=*/6).status());
+  ASSERT_OK(SensitivitySweep(g, opt, /*max_k=*/6).status());
   const int clean_polls = polls;
   polls = 0;
   opt.check_cancel = [&polls, clean_polls]() -> util::Status {
@@ -270,7 +433,7 @@ TEST(CancellationTest, SweepPollsBetweenSnapshots) {
                ? util::Status::DeadlineExceeded("budget spent")
                : util::Status::OK();
   };
-  pts = SensitivitySweep(g, opt, /*min_k=*/1, /*max_k=*/6);
+  pts = SensitivitySweep(g, opt, /*max_k=*/6);
   EXPECT_EQ(pts.status().code(), util::StatusCode::kDeadlineExceeded);
   EXPECT_EQ(polls, clean_polls);
 }

@@ -189,6 +189,39 @@ TEST_P(GreedyDbgX2Differential, MatchesNaiveReferenceAtEveryK) {
   ExpectMatchesReference(stage1.program, stage1.weight, opt, ref);
 }
 
+/// ClusteringAtSnapshot is what ClusterTypes returns for every target:
+/// the ladder to k = 1 read at each k equals a run to that k in steps,
+/// final program, map, weights and total distance.
+TEST_P(GreedyDbgX2Differential, RungAtEveryKEqualsARunToK) {
+  auto [psi, empty] = GetParam();
+  typing::PerfectTypingResult stage1 = ScaledDbgStage1(2);
+  ClusteringOptions opt;
+  opt.psi = psi;
+  opt.enable_empty_type = empty;
+  opt.target_num_types = 1;
+  opt.record_snapshots = true;
+  auto ladder = ClusterTypes(stage1.program, stage1.weight, opt);
+  ASSERT_TRUE(ladder.ok()) << ladder.status().ToString();
+  ASSERT_EQ(ladder->snapshots.size(), stage1.program.NumTypes());
+  for (const Snapshot& snap : ladder->snapshots) {
+    SCOPED_TRACE("k " + std::to_string(snap.num_types));
+    ClusteringResult rung =
+        ClusteringAtSnapshot(*ladder, snap, stage1.weight);
+    ClusteringOptions to_k = opt;
+    to_k.record_snapshots = false;
+    to_k.target_num_types = snap.num_types;
+    auto run = ClusterTypes(stage1.program, stage1.weight, to_k);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectSameSteps(rung.steps, run->steps);
+    EXPECT_TRUE(rung.final_program == run->final_program);
+    EXPECT_EQ(rung.final_map, run->final_map);
+    EXPECT_EQ(rung.final_weights, run->final_weights);
+    EXPECT_EQ(rung.total_distance, run->total_distance);
+    EXPECT_TRUE(rung.snapshots.empty());
+    EXPECT_EQ(rung.counters.rows_computed, ladder->counters.rows_computed);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllPsi, GreedyDbgX2Differential,
     ::testing::Combine(::testing::ValuesIn(kAllPsi), ::testing::Bool()),

@@ -324,6 +324,144 @@ TEST_F(ServiceTest, ExtractAutoKPicksKnee) {
   }
 }
 
+/// The four files SaveWorkspace writes into `dir`, by name.
+std::map<std::string, std::string> SavedFiles(const fs::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const char* name :
+       {"schema.dl", "assignment.tsv", "snapshot.bin", "graph.sxg"}) {
+    std::ifstream in(dir / name, std::ios::binary);
+    EXPECT_TRUE(in.good()) << (dir / name);
+    out[name].assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+  }
+  return out;
+}
+
+/// Saves `g` with `r`'s schema and assignment, as an extraction commits
+/// them, and returns the files.
+std::map<std::string, std::string> SaveExtraction(
+    const graph::DataGraph& g, const extract::ExtractionResult& r,
+    const fs::path& dir) {
+  catalog::Workspace ws;
+  ws.SetGraph(g);
+  ws.program = r.final_program;
+  ws.assignment = r.recast.assignment;
+  EXPECT_TRUE(catalog::SaveWorkspace(ws, dir.string()).ok());
+  return SavedFiles(dir);
+}
+
+/// One type-preserving swap: a and b share a Stage-1 type and exchange
+/// the atomic targets of one same-label link each, so every local
+/// picture stays as it was.
+std::vector<DeltaOp> TypePreservingSwap(const graph::DataGraph& g) {
+  auto perfect = typing::PerfectTypingViaHashRefinement(g);
+  EXPECT_TRUE(perfect.ok());
+  auto link_op = [&g](const char* op, graph::ObjectId from,
+                      graph::ObjectId to, graph::LabelId label) {
+    DeltaOp d;
+    d.op = op;
+    d.from = from;
+    d.to = to;
+    d.label = g.labels().Name(label);
+    return d;
+  };
+  for (graph::ObjectId a = 0; a < g.NumObjects(); ++a) {
+    for (graph::ObjectId b = a + 1; b < g.NumObjects(); ++b) {
+      if (!g.IsComplex(a) || perfect->home[a] != perfect->home[b]) continue;
+      for (const graph::HalfEdge& ea : g.OutEdges(a)) {
+        for (const graph::HalfEdge& eb : g.OutEdges(b)) {
+          const graph::ObjectId x = ea.other, y = eb.other;
+          if (ea.label != eb.label || x == y || !g.IsAtomic(x) ||
+              !g.IsAtomic(y) || g.HasEdge(a, y, ea.label) ||
+              g.HasEdge(b, x, ea.label)) {
+            continue;
+          }
+          return {link_op("del_link", a, x, ea.label),
+                  link_op("del_link", b, y, ea.label),
+                  link_op("add_link", a, y, ea.label),
+                  link_op("add_link", b, x, ea.label)};
+        }
+      }
+    }
+  }
+  ADD_FAILURE() << "no type-preserving swap";
+  return {};
+}
+
+TEST_F(ServiceTest, AutoKExtractCommitsTheColdRunAtTheKnee) {
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset(3));
+  ASSERT_OK_AND_ASSIGN(std::vector<extract::SensitivityPoint> points,
+                       extract::SensitivitySweep(g, {}, /*max_k=*/20));
+  const size_t k = extract::FindKnee(points).k;
+  extract::ExtractorOptions opt;
+  opt.target_num_types = k;
+  ASSERT_OK_AND_ASSIGN(extract::ExtractionResult want,
+                       extract::SchemaExtractor(opt).Run(g));
+
+  Server server;
+  ASSERT_OK(server.InstallWorkspace("dbg", MakeDbgWorkspace()));
+  Request req = MakeRequest(Verb::kExtract);
+  req.extract.workspace = "dbg";
+  req.extract.k = 0;
+  req.extract.save_dir = (dir_ / "auto").string();
+  Response resp = server.Handle(req);
+  ASSERT_OK(resp.status);
+  EXPECT_EQ(Field(resp.result, "k").AsNumber(), k);
+  EXPECT_EQ(Field(resp.result, "sweep_points").AsNumber(), points.size());
+  // Each interval is counted once, so the parts fit in the total.
+  const Value& t = Field(resp.result, "timings");
+  double parts = 0;
+  for (const char* key : {"stage1_ms", "cluster_ms", "sweep_ms", "recast_ms"}) {
+    parts += Field(t, key).AsNumber();
+  }
+  EXPECT_GE(Field(t, "total_ms").AsNumber(), parts);
+
+  // The committed program and assignment are the cold run's, and the
+  // saved files are a fixed-k extract's at the knee on a second server.
+  const std::map<std::string, std::string> saved = SavedFiles(dir_ / "auto");
+  EXPECT_TRUE(saved == SaveExtraction(g, want, dir_ / "cold"));
+  {
+    Server fixed;
+    ASSERT_OK(fixed.InstallWorkspace("dbg", MakeDbgWorkspace()));
+    Request fixed_req = req;
+    fixed_req.extract.k = k;
+    fixed_req.extract.save_dir = (dir_ / "fixed").string();
+    ASSERT_OK(fixed.Handle(fixed_req).status);
+    EXPECT_TRUE(saved == SavedFiles(dir_ / "fixed"));
+  }
+
+  // A swap keeps the perfect typing, so re_extract adopts the auto-k
+  // run's cached clustering and equals a cold extraction at that k.
+  Request delta = MakeRequest(Verb::kApplyDelta);
+  delta.apply_delta.workspace = "dbg";
+  delta.apply_delta.ops = TypePreservingSwap(g);
+  ASSERT_OK(server.Handle(delta).status);
+  graph::DataGraph swapped = g;
+  for (const DeltaOp& op : delta.apply_delta.ops) {
+    if (op.op == "del_link") {
+      ASSERT_OK(swapped.RemoveEdge(op.from, op.to,
+                                   swapped.labels().Find(op.label)));
+    } else {
+      ASSERT_OK(swapped.AddEdge(op.from, op.to, op.label));
+    }
+  }
+  Request re = MakeRequest(Verb::kReExtract);
+  re.re_extract.workspace = "dbg";
+  re.re_extract.save_dir = (dir_ / "re").string();
+  Response re_resp = server.Handle(re);
+  ASSERT_OK(re_resp.status);
+  EXPECT_EQ(Field(re_resp.result, "k").AsNumber(), k);
+  EXPECT_TRUE(
+      Field(Field(re_resp.result, "incremental"), "stage2_reused").AsBool());
+  ASSERT_OK_AND_ASSIGN(extract::ExtractionResult cold,
+                       extract::SchemaExtractor(opt).Run(swapped));
+  const std::map<std::string, std::string> re_saved = SavedFiles(dir_ / "re");
+  const std::map<std::string, std::string> cold_saved =
+      SaveExtraction(swapped, cold, dir_ / "cold_re");
+  EXPECT_EQ(re_saved.at("schema.dl"), cold_saved.at("schema.dl"));
+  EXPECT_EQ(re_saved.at("assignment.tsv"), cold_saved.at("assignment.tsv"));
+}
+
 /// A response result without its "timings" object (wall clock, which
 /// varies by run), serialized for comparison.
 std::string WithoutTimings(const Value& result) {
