@@ -14,10 +14,14 @@
 //                  "edges":N,"stage1_types":N,"threads":1,"stage1_ms":F,
 //                  "cluster_ms":F,"recast_ms":F,"apply_delta_ms":F,
 //                  "speedup":1.000}
-//                 apply_delta_ms is the wall-clock of applying a
-//                 64-op mutation batch to a DataGraph over the
-//                 frozen graph (best of 3) — the generation-swap cost a
-//                 service apply_delta pays before any retyping.
+//                 The stage times are one SchemaExtractor::Run's
+//                 StageTimings at k = 6 (recast_ms is Stage 3, run per
+//                 object on DBG, whose classes do not halve the
+//                 objects). apply_delta_ms is
+//                 the wall-clock of applying a 64-op mutation batch to a
+//                 DataGraph over the frozen graph (best of 3) — the
+//                 generation-swap cost a service apply_delta pays before
+//                 any retyping.
 //               stage1-only row (scale 500) —
 //                 {"bench":"scale","algo":"hash","objects":N,
 //                  "edges":N,"threads":1,"stage1_ms":F,"speedup":1.000}
@@ -47,14 +51,16 @@
 //                 to k = 1, a recast + defect per k <= 20, the service's
 //                 default max_types) with default options; K is
 //                 FindKnee's pick under max_types = 20. Before the row
-//                 prints, two gates must hold, or the run exits 1:
+//                 prints, three gates must hold, or the run exits 1:
 //                 the capped points equal the full sweep's points with
 //                 k <= 20 (one untimed full sweep at scales <= 5; above,
 //                 where it takes minutes, each capped point equals a
-//                 cold extraction at its k), and ExtractAtKnee's points
-//                 equal the capped sweep's while its result equals
-//                 SchemaExtractor::Run at the knee (final program,
-//                 assignment, defect).
+//                 cold extraction at its k); each capped point equals
+//                 the per-object Stage 3 (typing::Recast +
+//                 ComputeDefect) of its snapshot; and ExtractAtKnee's
+//                 points equal the capped sweep's while its result
+//                 equals SchemaExtractor::Run at the knee (final
+//                 program, assignment, defect).
 //               stage1_gfp row (DBG x1/x5/x25 and Table-1 DB1 x10/x30
 //               with both variants; DB1 x100 "after" only) —
 //                 {"bench":"stage1_gfp","variant":"before"|"after",
@@ -70,8 +76,32 @@
 //                 Before the rows print, both results must be identical
 //                 (program, homes, weights); a mismatch exits 1. The
 //                 oracle would need ~1.26 GB of extents at DB1 x100.
+//               stage3 row (Table-1 DB1 x10 and x100; x1 only with
+//               --smoke) —
+//                 {"bench":"stage3","variant":"before"|"after",
+//                  "dataset":"db1","scale":S,"mode":"auto"|"fixed",
+//                  "k":K,"objects":N,"edges":E,"classes":C,"triples":T,
+//                  "points":P,"per_object_points":Q,"runs":R,
+//                  "total_ms_median":F,"total_ms_q1":F,"total_ms_q3":F,
+//                  "stage1_ms_median":F,"cluster_ms_median":F,
+//                  "stage3_ms_median":F,"hardware_concurrency":N}
+//                 R runs of each variant, alternating before/after, of
+//                 auto-k at max_types 20 ("auto": P points, K the knee)
+//                 or an extraction at k = 10 ("fixed", P = 0). "after"
+//                 is the product (extract::ExtractAtKnee or
+//                 SchemaExtractor::Run), its split read from its
+//                 StageTimings: stage3_ms is sweep_ms (auto) or
+//                 recast_ms (fixed), both including the build of the
+//                 quotient of C classes and T triples. "before" is the
+//                 per-object Stage 3 the quotient replaced: the same
+//                 Stage 1 and ladder, then typing::Recast +
+//                 ComputeDefect at every point and at K, timed by the
+//                 bench; every one of its points is per object. Before
+//                 the rows print, both variants' points, K and committed
+//                 excess and deficit must agree; a mismatch exits 1.
 //   --smoke   scales {1, 5} only and skip the large scales (CI-sized);
-//             stage1_gfp rows for DBG x1 and DB1 x1 only
+//             stage1_gfp rows for DBG x1 and DB1 x1 only, stage3 rows
+//             for DB1 x1 only
 //   --variant V
 //             the stage2_greedy rows' "variant" label (default
 //             "current"). Before/after rows come from this file built
@@ -144,6 +174,30 @@ double Quantile(const std::vector<double>& v, double q) {
   auto lo = static_cast<size_t>(pos);
   size_t hi = std::min(lo + 1, v.size() - 1);
   return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+/// Per-object home sets of a refinement Stage 1 mapped through `map`
+/// (Stage-1 type -> final type, kEmptyType dropped).
+std::vector<std::vector<typing::TypeId>> ObjectHomes(
+    const typing::PerfectTypingResult& stage1,
+    const std::vector<typing::TypeId>& map) {
+  std::vector<std::vector<typing::TypeId>> homes(stage1.home.size());
+  for (size_t o = 0; o < stage1.home.size(); ++o) {
+    if (stage1.home[o] == typing::kInvalidType) continue;
+    typing::TypeId m = map[static_cast<size_t>(stage1.home[o])];
+    if (m != cluster::kEmptyType) homes[o] = {m};
+  }
+  return homes;
+}
+
+/// The per-object Stage 3 the quotient replaced: typing::Recast +
+/// ComputeDefect of `program` over per-object `homes`.
+util::StatusOr<typing::DefectReport> PerObjectStage3(
+    const typing::TypingProgram& program, graph::GraphView g,
+    const std::vector<std::vector<typing::TypeId>>& homes) {
+  SCHEMEX_ASSIGN_OR_RETURN(typing::RecastResult recast,
+                           typing::Recast(program, g, homes));
+  return typing::ComputeDefect(program, g, recast.assignment);
 }
 
 /// Times `runs` cold Stage-2 runs (psi2, k = 6) over `stage1` and prints
@@ -259,6 +313,31 @@ bool MatchesColdExtractions(graph::GraphView g, const Points& points) {
   return true;
 }
 
+/// True if every point equals the per-object Stage 3 of its snapshot on
+/// the default ladder capped at `max_k`.
+bool MatchesPerObjectStage3(graph::GraphView g, const Points& points,
+                            size_t max_k) {
+  auto stage1 = typing::PerfectTypingViaHashRefinement(g);
+  if (!stage1.ok()) return false;
+  cluster::ClusteringOptions copt;
+  copt.target_num_types = 1;
+  copt.record_snapshots = true;
+  copt.max_snapshot_types = max_k;
+  auto ladder = cluster::ClusterTypes(stage1->program, stage1->weight, copt);
+  if (!ladder.ok() || ladder->snapshots.size() != points.size()) return false;
+  for (size_t i = 0; i < points.size(); ++i) {
+    const cluster::Snapshot& snap = ladder->snapshots[i];
+    auto defect = PerObjectStage3(snap.program, g,
+                                  ObjectHomes(*stage1, snap.stage1_to_snapshot));
+    if (!defect.ok()) return false;
+    extract::SensitivityPoint want{snap.num_types, snap.total_distance,
+                                   defect->excess, defect->deficit,
+                                   defect->defect()};
+    if (!(want == points[i])) return false;
+  }
+  return true;
+}
+
 /// True if the one-pass auto-k extraction (ExtractAtKnee) reads
 /// `points`, the sweep capped at `max_k`, and its result equals
 /// SchemaExtractor::Run at the knee: final program, assignment, defect.
@@ -326,6 +405,13 @@ bool BenchKneeSweeps(graph::GraphView g, int scale, size_t types,
                  "FAIL: scale %d: the sweep capped at k <= %zu diverges from "
                  "the full sweep\n",
                  scale, kKneeMaxTypes);
+    return false;
+  }
+  if (!MatchesPerObjectStage3(g, capped.points, kKneeMaxTypes)) {
+    std::fprintf(stderr,
+                 "FAIL: scale %d: a capped sweep point differs from the "
+                 "per-object Stage 3 (Recast + ComputeDefect)\n",
+                 scale);
     return false;
   }
   if (!KneeExtractionMatches(g, capped.points, kKneeMaxTypes)) {
@@ -489,6 +575,174 @@ util::StatusOr<graph::DataGraph> Scaled(gen::DatasetSpec spec, int scale,
   return gen::Generate(spec, seed);
 }
 
+// The stage3 rows' fixed k.
+constexpr size_t kStage3FixedK = 10;
+
+/// One timed run of auto-k (`auto_k`) or an extraction at kStage3FixedK
+/// on DB1, either variant.
+struct Stage3Run {
+  double total_ms = 0;
+  double stage1_ms = 0;
+  double cluster_ms = 0;
+  double stage3_ms = 0;
+  Points points;
+  size_t per_object_points = 0;
+  size_t k = 0;
+  size_t excess = 0;
+  size_t deficit = 0;
+  size_t classes = 0;
+  size_t triples = 0;
+};
+
+/// "before": the same Stage 1 and ladder as the product, then the
+/// per-object Stage 3 at every point and at the committed k.
+bool RunStage3Before(graph::GraphView g, bool auto_k, Stage3Run* out) {
+  util::WallTimer total;
+  util::WallTimer t;
+  auto stage1 = typing::PerfectTypingViaHashRefinement(g);
+  if (!stage1.ok()) return false;
+  out->stage1_ms = t.ElapsedMillis();
+  t.Restart();
+  cluster::ClusteringOptions copt;
+  copt.target_num_types = auto_k ? 1 : kStage3FixedK;
+  copt.record_snapshots = auto_k;
+  copt.max_snapshot_types = kKneeMaxTypes;
+  auto ladder = cluster::ClusterTypes(stage1->program, stage1->weight, copt);
+  if (!ladder.ok()) return false;
+  out->cluster_ms = t.ElapsedMillis();
+  t.Restart();
+  const typing::TypingProgram* program = &ladder->final_program;
+  const std::vector<typing::TypeId>* map = &ladder->final_map;
+  out->k = kStage3FixedK;
+  if (auto_k) {
+    for (const cluster::Snapshot& snap : ladder->snapshots) {
+      auto defect = PerObjectStage3(
+          snap.program, g, ObjectHomes(*stage1, snap.stage1_to_snapshot));
+      if (!defect.ok()) return false;
+      out->points.push_back(extract::SensitivityPoint{
+          snap.num_types, snap.total_distance, defect->excess,
+          defect->deficit, defect->defect()});
+    }
+    extract::KneeOptions knee;
+    knee.max_types = kKneeMaxTypes;
+    out->k = extract::FindKnee(out->points, knee).k;
+    for (const cluster::Snapshot& snap : ladder->snapshots) {
+      if (snap.num_types != out->k) continue;
+      program = &snap.program;
+      map = &snap.stage1_to_snapshot;
+    }
+  }
+  auto defect = PerObjectStage3(*program, g, ObjectHomes(*stage1, *map));
+  if (!defect.ok()) return false;
+  out->excess = defect->excess;
+  out->deficit = defect->deficit;
+  out->stage3_ms = t.ElapsedMillis();
+  out->total_ms = total.ElapsedMillis();
+  out->per_object_points = out->points.size();
+  return true;
+}
+
+/// "after": the product, its split read from its own StageTimings.
+bool RunStage3After(graph::GraphView g, bool auto_k, Stage3Run* out) {
+  util::WallTimer total;
+  extract::ExtractionResult r;
+  if (auto_k) {
+    extract::KneeOptions knee;
+    knee.max_types = kKneeMaxTypes;
+    auto run = extract::ExtractAtKnee(g, {}, knee);
+    if (!run.ok()) return false;
+    out->points = run->points;
+    out->per_object_points = run->per_object_points;
+    out->k = run->knee.k;
+    r = std::move(run->result);
+    out->stage3_ms = r.timings.sweep_ms;
+  } else {
+    extract::ExtractorOptions opt;
+    opt.target_num_types = kStage3FixedK;
+    auto run = extract::SchemaExtractor(opt).Run(g);
+    if (!run.ok()) return false;
+    out->k = kStage3FixedK;
+    r = *std::move(run);
+    out->stage3_ms = r.timings.recast_ms;
+  }
+  out->total_ms = total.ElapsedMillis();
+  out->stage1_ms = r.timings.stage1_ms;
+  out->cluster_ms = r.timings.cluster_ms;
+  out->excess = r.defect.excess;
+  out->deficit = r.defect.deficit;
+  out->classes = r.quotient_classes;
+  out->triples = r.quotient_triples;
+  return true;
+}
+
+/// Median of one field over `runs`.
+template <typename Field>
+double MedianOf(const std::vector<Stage3Run>& runs, Field field) {
+  std::vector<double> v;
+  for (const Stage3Run& r : runs) v.push_back(field(r));
+  std::sort(v.begin(), v.end());
+  return Quantile(v, 0.5);
+}
+
+/// Prints the stage3 rows: per DB1 scale and mode, `runs` alternating
+/// before/after runs. Returns false on a failed run or when the variants
+/// disagree.
+bool BenchStage3(bool smoke, int runs) {
+  const std::vector<int> scales =
+      smoke ? std::vector<int>{1} : std::vector<int>{10, 100};
+  for (int scale : scales) {
+    auto g = Scaled(gen::Table1Datasets().front().spec, scale, 42);
+    if (!g.ok()) return false;
+    for (bool auto_k : {true, false}) {
+      std::vector<Stage3Run> before(static_cast<size_t>(runs));
+      std::vector<Stage3Run> after(static_cast<size_t>(runs));
+      for (size_t r = 0; r < before.size(); ++r) {
+        if (!RunStage3Before(*g, auto_k, &before[r]) ||
+            !RunStage3After(*g, auto_k, &after[r])) {
+          return false;
+        }
+      }
+      const Stage3Run& b = before.back();
+      const Stage3Run& a = after.back();
+      if (!(b.points == a.points && b.k == a.k && b.excess == a.excess &&
+            b.deficit == a.deficit)) {
+        std::fprintf(stderr,
+                     "FAIL: DB1 x%d %s: Stage 3 on the quotient differs from "
+                     "the per-object Stage 3\n",
+                     scale, auto_k ? "auto-k" : "fixed k");
+        return false;
+      }
+      for (const std::vector<Stage3Run>* variant : {&before, &after}) {
+        std::vector<double> total;
+        for (const Stage3Run& r : *variant) total.push_back(r.total_ms);
+        std::sort(total.begin(), total.end());
+        std::printf(
+            "{\"bench\":\"stage3\",\"variant\":\"%s\",\"dataset\":\"db1\","
+            "\"scale\":%d,\"mode\":\"%s\",\"k\":%zu,\"objects\":%zu,"
+            "\"edges\":%zu,\"classes\":%zu,\"triples\":%zu,\"points\":%zu,"
+            "\"per_object_points\":%zu,\"runs\":%zu,"
+            "\"total_ms_median\":%.3f,\"total_ms_q1\":%.3f,"
+            "\"total_ms_q3\":%.3f,\"stage1_ms_median\":%.3f,"
+            "\"cluster_ms_median\":%.3f,\"stage3_ms_median\":%.3f,"
+            "\"hardware_concurrency\":%u}\n",
+            variant == &before ? "before" : "after", scale,
+            auto_k ? "auto" : "fixed", a.k, g->NumObjects(), g->NumEdges(),
+            a.classes, a.triples, variant->back().points.size(),
+            variant->back().per_object_points, total.size(),
+            Quantile(total, 0.5), Quantile(total, 0.25),
+            Quantile(total, 0.75),
+            MedianOf(*variant, [](const Stage3Run& r) { return r.stage1_ms; }),
+            MedianOf(*variant,
+                     [](const Stage3Run& r) { return r.cluster_ms; }),
+            MedianOf(*variant,
+                     [](const Stage3Run& r) { return r.stage3_ms; }),
+            std::thread::hardware_concurrency());
+      }
+    }
+  }
+  return true;
+}
+
 /// Prints the stage1_gfp rows: the literal §4.1 program against
 /// PerfectTypingViaGfp. Returns false on a failed run or when the two
 /// results differ.
@@ -573,29 +827,15 @@ int Run(bool json, bool smoke, const std::string& variant) {
     if (!g.ok()) return 1;
 
     util::WallTimer total;
-    util::WallTimer t1;
-    auto stage1 = typing::PerfectTypingViaHashRefinement(*g);
-    double stage1_ms = t1.ElapsedMillis();
-
-    util::WallTimer t2;
-    cluster::ClusteringOptions copt;
-    copt.target_num_types = 6;
-    auto clustering =
-        cluster::ClusterTypes(stage1->program, stage1->weight, copt);
-    double cluster_ms = t2.ElapsedMillis();
-
-    util::WallTimer t3;
-    std::vector<std::vector<typing::TypeId>> homes(g->NumObjects());
-    for (size_t o = 0; o < stage1->home.size(); ++o) {
-      if (stage1->home[o] == typing::kInvalidType) continue;
-      typing::TypeId m =
-          clustering->final_map[static_cast<size_t>(stage1->home[o])];
-      if (m != cluster::kEmptyType) homes[o] = {m};
-    }
-    auto recast = typing::Recast(clustering->final_program, *g, homes);
-    auto defect = typing::ComputeDefect(clustering->final_program, *g,
-                                        recast->assignment);
-    double recast_ms = t3.ElapsedMillis();
+    extract::ExtractorOptions opt;
+    opt.target_num_types = 6;
+    auto run = extract::SchemaExtractor(opt).Run(*g);
+    if (!run.ok()) return 1;
+    const typing::PerfectTypingResult* stage1 = &run->perfect;
+    const extract::StageTimings& timings = run->timings;
+    const double stage1_ms = timings.stage1_ms;
+    const double cluster_ms = timings.cluster_ms;
+    const double recast_ms = timings.recast_ms;
     double apply_delta_ms = BenchApplyDelta(graph::Freeze(*g));
 
     if (json) {
@@ -612,7 +852,7 @@ int Run(bool json, bool smoke, const std::string& variant) {
                     util::StringPrintf("%.1f", recast_ms),
                     util::StringPrintf("%.2f", apply_delta_ms),
                     util::StringPrintf("%.1f", total.ElapsedMillis()),
-                    util::StringPrintf("%zu", defect.defect())});
+                    util::StringPrintf("%zu", run->defect.defect())});
     }
     if (scale > kStage2RowMaxScale) continue;
     if (json && !BenchStage2(*stage1, kStage2Runs, variant)) return 1;
@@ -623,6 +863,7 @@ int Run(bool json, bool smoke, const std::string& variant) {
     if (!BenchDistanceKernels(stage1->program, json, &kernel_lines)) return 1;
   }
   if (json && !BenchStage1Gfp(smoke, kStage2Runs)) return 1;
+  if (json && !BenchStage3(smoke, kStage2Runs)) return 1;
   if (!json) {
     table.Print(std::cout);
     std::cout << "\n-- All-pairs distance kernel, sorted vs bit-parallel --\n";

@@ -13,39 +13,62 @@ namespace internal {
 using typing::TypeId;
 
 util::StatusOr<typing::PerfectTypingResult> RunStage1(
-    const ExtractorOptions& options, graph::GraphView g) {
+    const ExtractorOptions& options, graph::GraphView g,
+    std::vector<TypeId>* classes) {
   const typing::ExecOptions exec{.check_cancel = options.check_cancel};
-  SCHEMEX_ASSIGN_OR_RETURN(
-      typing::PerfectTypingResult perfect,
-      options.stage1 == ExtractorOptions::Stage1Algorithm::kGfp
-          ? typing::PerfectTypingViaGfp(g, exec)
-          : typing::PerfectTypingViaHashRefinement(g, exec));
+  typing::PerfectTypingResult perfect;
+  if (options.stage1 == ExtractorOptions::Stage1Algorithm::kGfp) {
+    SCHEMEX_ASSIGN_OR_RETURN(perfect,
+                             typing::PerfectTypingViaGfp(g, exec, classes));
+  } else {
+    SCHEMEX_ASSIGN_OR_RETURN(perfect,
+                             typing::PerfectTypingViaHashRefinement(g, exec));
+    *classes = perfect.home;
+  }
   SCHEMEX_RETURN_IF_ERROR(exec.Poll());
   return perfect;
 }
 
 PreClusterState PrepareForClustering(const ExtractorOptions& options,
                                      typing::PerfectTypingResult perfect,
+                                     std::vector<TypeId> classes,
                                      ExtractionResult* result) {
   result->perfect = std::move(perfect);
   result->num_perfect_types = result->perfect.program.NumTypes();
   const typing::PerfectTypingResult& p = result->perfect;
   PreClusterState state;
+  state.classes = std::move(classes);
+
+  // Each class's perfect type (its members' home) and size.
+  std::vector<TypeId> class_home;
+  std::vector<uint32_t> size;
+  for (size_t o = 0; o < p.home.size(); ++o) {
+    if (p.home[o] == typing::kInvalidType) continue;
+    const auto c = static_cast<size_t>(state.classes[o]);
+    if (c >= size.size()) {
+      size.resize(c + 1, 0);
+      class_home.resize(c + 1, typing::kInvalidType);
+    }
+    if (size[c]++ == 0) class_home[c] = p.home[o];
+  }
+  result->quotient_classes = size.size();
   if (options.decompose_roles) {
     result->roles = typing::DecomposeRoles(p.program);
     result->roles_applied = true;
     state.program = result->roles.program;
-    state.homes = result->roles.MapHomes(p.home);
+    state.homes = result->roles.MapHomes(class_home);
   } else {
     state.program = p.program;
-    state.homes.resize(p.home.size());
-    for (size_t o = 0; o < p.home.size(); ++o) {
-      if (p.home[o] != typing::kInvalidType) state.homes[o] = {p.home[o]};
+    state.homes.resize(class_home.size());
+    for (size_t c = 0; c < class_home.size(); ++c) {
+      state.homes[c] = {class_home[c]};
     }
   }
   state.weights.assign(state.program.NumTypes(), 0);
-  for (const auto& hs : state.homes) {
-    for (TypeId t : hs) ++state.weights[static_cast<size_t>(t)];
+  for (size_t c = 0; c < state.homes.size(); ++c) {
+    for (TypeId t : state.homes[c]) {
+      state.weights[static_cast<size_t>(t)] += size[c];
+    }
   }
   return state;
 }
@@ -69,7 +92,7 @@ util::Status FinishExtraction(
     const ExtractorOptions& options, graph::GraphView g,
     const PreClusterState& state,
     std::optional<cluster::ClusteringResult> clustering,
-    ExtractionResult* result) {
+    const typing::Quotient* quotient, ExtractionResult* result) {
   const typing::ExecOptions exec{.check_cancel = options.check_cancel};
 
   // Stage 2.
@@ -87,27 +110,50 @@ util::Status FinishExtraction(
     result->timings.cluster_ms = stage_timer.ElapsedMillis();
   }
 
-  // Stage 3, timed from mapping the homes through the clustering (linear
-  // in objects) to the end of the defect measurement.
+  // Stage 3, timed from mapping the class homes through the clustering
+  // to the end of the per-object materialization.
   stage_timer.Restart();
+  std::vector<std::vector<TypeId>> class_homes;
   if (stage2) {
     result->clustering = *std::move(clustering);
     result->clustering_applied = true;
     result->final_program = result->clustering.final_program;
-    result->final_homes =
-        MapHomesThrough(state.homes, result->clustering.final_map);
+    class_homes = MapHomesThrough(state.homes, result->clustering.final_map);
   } else {
     result->final_program = state.program;
-    result->final_homes = state.homes;
+    class_homes = state.homes;
   }
   result->num_final_types = result->final_program.NumTypes();
+  result->final_homes.assign(state.classes.size(), {});
+  for (size_t o = 0; o < state.classes.size(); ++o) {
+    if (!g.IsComplex(static_cast<graph::ObjectId>(o))) continue;
+    result->final_homes[o] = class_homes[static_cast<size_t>(state.classes[o])];
+  }
   SCHEMEX_RETURN_IF_ERROR(exec.Poll());
-  SCHEMEX_ASSIGN_OR_RETURN(
-      result->recast,
-      typing::Recast(result->final_program, g, result->final_homes,
-                     options.recast, exec));
-  result->defect = typing::ComputeDefect(result->final_program, g,
-                                         result->recast.assignment);
+  std::optional<typing::Quotient> built;
+  if (quotient == nullptr &&
+      QuotientPays(state.homes.size(), g.NumComplexObjects())) {
+    SCHEMEX_ASSIGN_OR_RETURN(built, typing::BuildQuotient(g, state.classes));
+    quotient = &*built;
+  }
+  if (quotient == nullptr) {
+    result->per_object_fallback = true;
+    SCHEMEX_ASSIGN_OR_RETURN(
+        result->recast,
+        typing::Recast(result->final_program, g, result->final_homes,
+                       options.recast, exec));
+    result->defect = typing::ComputeDefect(result->final_program, g,
+                                           result->recast.assignment);
+  } else {
+    SCHEMEX_ASSIGN_OR_RETURN(
+        typing::QuotientRecast recast,
+        typing::RecastQuotient(result->final_program, g, *quotient,
+                               class_homes, options.recast, exec));
+    result->quotient_triples = quotient->NumTriples();
+    result->defect = recast.defect;
+    result->per_object_fallback = recast.per_object_fallback;
+    result->recast = typing::MaterializeRecast(*quotient, std::move(recast));
+  }
   result->timings.recast_ms = stage_timer.ElapsedMillis();
   return util::Status::OK();
 }
@@ -121,14 +167,15 @@ util::StatusOr<ExtractionResult> SchemaExtractor::Run(
   // Stage 1.
   ExtractionResult result;
   util::WallTimer stage_timer;
+  std::vector<typing::TypeId> classes;
   SCHEMEX_ASSIGN_OR_RETURN(typing::PerfectTypingResult perfect,
-                           internal::RunStage1(options_, g));
+                           internal::RunStage1(options_, g, &classes));
   result.timings.stage1_ms = stage_timer.ElapsedMillis();
 
-  const internal::PreClusterState state =
-      internal::PrepareForClustering(options_, std::move(perfect), &result);
-  SCHEMEX_RETURN_IF_ERROR(
-      internal::FinishExtraction(options_, g, state, std::nullopt, &result));
+  const internal::PreClusterState state = internal::PrepareForClustering(
+      options_, std::move(perfect), std::move(classes), &result);
+  SCHEMEX_RETURN_IF_ERROR(internal::FinishExtraction(
+      options_, g, state, std::nullopt, /*quotient=*/nullptr, &result));
   result.timings.total_ms = total_timer.ElapsedMillis();
   return result;
 }

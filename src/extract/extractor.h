@@ -55,8 +55,11 @@ struct ExtractorOptions {
 struct StageTimings {
   double stage1_ms = 0;  ///< perfect typing (refinement or GFP)
   double cluster_ms = 0; ///< Stage 2 clustering or its reuse (0 when skipped)
-  double recast_ms = 0;  ///< home remap + Stage 3 + defect measurement
-  double sweep_ms = 0;  ///< ExtractAtKnee: every point's recast + the knee
+  /// Home remap + Stage 3 + defect (with the quotient's build, when built
+  /// for this program) + the per-object materialization.
+  double recast_ms = 0;
+  /// ExtractAtKnee: the quotient, every point's recast + the knee.
+  double sweep_ms = 0;
   double total_ms = 0;
 };
 
@@ -85,6 +88,17 @@ struct ExtractionResult {
 
   /// Stage 3 output.
   typing::RecastResult recast;
+
+  /// How Stage 3 ran. quotient_classes counts Stage 1's refinement
+  /// classes. Stage 3 ran on their quotient of quotient_triples triples
+  /// (typing::RecastQuotient), or per object with quotient_triples 0 when
+  /// one program would not pay for the quotient (internal::QuotientPays).
+  /// per_object_fallback: the nearest-type fallback ran per object, in
+  /// object order, because Stage 3 did, or because straggler classes
+  /// were adjacent.
+  size_t quotient_classes = 0;
+  size_t quotient_triples = 0;
+  bool per_object_fallback = false;
 
   /// Defect of the final assignment (Table 1's "Defect" column).
   typing::DefectReport defect;
@@ -125,7 +139,8 @@ struct SensitivityPoint {
 /// Measures the typing at every k from min(n, `max_k`) down to 1 (n the
 /// perfect-type count, `max_k` = 0 meaning n): Stage 1 and the roles pass
 /// once, one clustering ladder down to k = 1 with a snapshot per k, and a
-/// recast + defect per snapshot — §6's sliding scale and Figure 6.
+/// class-level recast + defect per snapshot on one Stage-1 quotient —
+/// §6's sliding scale and Figure 6.
 /// `options.target_num_types` is ignored. The cap is exact: recording a
 /// snapshot does not change the ladder, and each point depends only on
 /// its own snapshot, so the capped sweep is the uncapped one's points

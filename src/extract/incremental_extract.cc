@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "extract/pipeline_internal.h"
 #include "typing/incremental_refine.h"
@@ -44,6 +45,7 @@ util::StatusOr<ExtractionResult> ReExtract(
   // is defined by extent equality, which the re-refiner does not model.
   util::WallTimer stage_timer;
   typing::PerfectTypingResult perfect;
+  std::vector<typing::TypeId> classes;
   if (options.stage1 == ExtractorOptions::Stage1Algorithm::kRefinement) {
     typing::IncrementalRefineOptions ro;
     ro.max_dirty_fraction = inc.max_dirty_fraction;
@@ -59,16 +61,18 @@ util::StatusOr<ExtractionResult> ReExtract(
     st.dirty_seed = rstats.seed_dirty;
     st.dirty_peak = rstats.peak_dirty;
     st.rounds = rstats.rounds;
+    classes = perfect.home;
   } else {
-    SCHEMEX_ASSIGN_OR_RETURN(perfect, internal::RunStage1(options, g));
+    SCHEMEX_ASSIGN_OR_RETURN(perfect,
+                             internal::RunStage1(options, g, &classes));
     st.stage1_fallback_reason =
         "cache produced by stage1=gfp; incremental Stage 1 requires "
         "refinement";
   }
   ExtractionResult result;
   result.timings.stage1_ms = stage_timer.ElapsedMillis();
-  const internal::PreClusterState state =
-      internal::PrepareForClustering(options, std::move(perfect), &result);
+  const internal::PreClusterState state = internal::PrepareForClustering(
+      options, std::move(perfect), std::move(classes), &result);
 
   // Stages 2+3 via the cold pipeline, adopting the cached clustering if
   // it was made at the same k (the other options match by construction)
@@ -85,7 +89,7 @@ util::StatusOr<ExtractionResult> ReExtract(
     result.timings.cluster_ms = stage_timer.ElapsedMillis();
   }
   SCHEMEX_RETURN_IF_ERROR(internal::FinishExtraction(
-      options, g, state, std::move(cached), &result));
+      options, g, state, std::move(cached), /*quotient=*/nullptr, &result));
   result.timings.total_ms = total_timer.ElapsedMillis();
   return result;
 }

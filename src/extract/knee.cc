@@ -60,10 +60,11 @@ std::vector<size_t> NaturalTypeCounts(
 
 namespace {
 
-/// The sweep's one pass: Stage 1, the roles pass, one ClusterTypes ladder
-/// down to k = 1 recording the snapshots at k <= max_k (0 = every k), a
-/// recast + defect per snapshot, and with `knee` set the knee's
-/// extraction, finished from the ladder's rung at that k.
+/// The sweep's one pass: Stage 1 and the roles pass, one ClusterTypes
+/// ladder down to k = 1 recording the snapshots at k <= max_k (0 = every
+/// k), the quotient, a class-level recast + defect per snapshot on it,
+/// and with `knee` set the knee's extraction, finished from the ladder's
+/// rung at that k on the same quotient.
 util::StatusOr<KneeExtraction> Sweep(graph::GraphView g,
                                      const ExtractorOptions& options,
                                      size_t max_k, const KneeOptions* knee) {
@@ -71,11 +72,12 @@ util::StatusOr<KneeExtraction> Sweep(graph::GraphView g,
   KneeExtraction out;
   StageTimings& timings = out.result.timings;
   util::WallTimer stage_timer;
+  std::vector<typing::TypeId> classes;
   SCHEMEX_ASSIGN_OR_RETURN(typing::PerfectTypingResult perfect,
-                           internal::RunStage1(options, g));
+                           internal::RunStage1(options, g, &classes));
   timings.stage1_ms = stage_timer.ElapsedMillis();
   const internal::PreClusterState state = internal::PrepareForClustering(
-      options, std::move(perfect), &out.result);
+      options, std::move(perfect), std::move(classes), &out.result);
 
   stage_timer.Restart();
   const typing::ExecOptions exec{.check_cancel = options.check_cancel};
@@ -91,19 +93,20 @@ util::StatusOr<KneeExtraction> Sweep(graph::GraphView g,
   timings.cluster_ms = stage_timer.ElapsedMillis();
 
   stage_timer.Restart();
+  SCHEMEX_ASSIGN_OR_RETURN(const typing::Quotient quotient,
+                           typing::BuildQuotient(g, state.classes));
   for (const cluster::Snapshot& snap : ladder.snapshots) {
     SCHEMEX_RETURN_IF_ERROR(exec.Poll());
     SCHEMEX_ASSIGN_OR_RETURN(
-        typing::RecastResult recast,
-        typing::Recast(snap.program, g,
-                       internal::MapHomesThrough(state.homes,
-                                                 snap.stage1_to_snapshot),
-                       options.recast, exec));
-    typing::DefectReport defect =
-        typing::ComputeDefect(snap.program, g, recast.assignment);
+        typing::QuotientRecast recast,
+        typing::RecastQuotient(
+            snap.program, g, quotient,
+            internal::MapHomesThrough(state.homes, snap.stage1_to_snapshot),
+            options.recast, exec));
+    if (recast.per_object_fallback) ++out.per_object_points;
+    const typing::DefectReport& d = recast.defect;
     out.points.push_back(SensitivityPoint{snap.num_types, snap.total_distance,
-                                          defect.excess, defect.deficit,
-                                          defect.defect()});
+                                          d.excess, d.deficit, d.defect()});
   }
   if (knee == nullptr) return out;
   out.knee = FindKnee(out.points, *knee);
@@ -119,7 +122,7 @@ util::StatusOr<KneeExtraction> Sweep(graph::GraphView g,
         cluster::ClusteringAtSnapshot(ladder, std::move(snap), state.weights);
   }
   SCHEMEX_RETURN_IF_ERROR(internal::FinishExtraction(
-      at_knee, g, state, std::move(rung), &out.result));
+      at_knee, g, state, std::move(rung), &quotient, &out.result));
   timings.total_ms = total_timer.ElapsedMillis();
   return out;
 }

@@ -49,15 +49,20 @@ std::vector<size_t> NaturalTypeCounts(
 /// SchemaExtractor::Run would return at target_num_types = knee.k.
 struct KneeExtraction {
   std::vector<SensitivityPoint> points;
+  /// How many of `points` ran the nearest-type fallback per object
+  /// (ExtractionResult::per_object_fallback).
+  size_t per_object_points = 0;
   Knee knee;
   ExtractionResult result;
 };
 
 /// Auto-k in one pass (§6's sliding scale read off one ladder): the
 /// sweep, FindKnee, and the knee's extraction finished from the ladder's
-/// own rung with one more recast, keeping no snapshots. Timings count
-/// each interval once: cluster_ms is the ladder, sweep_ms the points and
-/// the knee. `options.target_num_types` is ignored.
+/// own rung with one more recast, keeping no snapshots. Every point and
+/// the knee run Stage 3 on one quotient, and only the knee's result is
+/// materialized per object. Timings count each interval once: cluster_ms
+/// is the ladder, sweep_ms the points and the knee.
+/// `options.target_num_types` is ignored.
 util::StatusOr<KneeExtraction> ExtractAtKnee(
     graph::GraphView g, const ExtractorOptions& options,
     const KneeOptions& knee_options = {});

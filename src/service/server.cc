@@ -90,12 +90,12 @@ Value WorkspaceSummary(const std::string& name, const catalog::Workspace& ws) {
 }
 
 /// The response fields extract and re_extract share: type counts, the
-/// defect, recast tallies and per-stage wall time, plus the knee sweep
-/// (`sweep_points` set: auto-k) and the save (`save_ms` set). The times
-/// also feed the per-stage histograms (extract.stage1, ..., extract.sweep,
-/// extract.save) that `stats` reports.
+/// defect, recast tallies with how Stage 3 ran, and per-stage wall time,
+/// plus the knee sweep (`sweep` set: auto-k) and the save (`save_ms`
+/// set). The times also feed the per-stage histograms (extract.stage1,
+/// ..., extract.sweep, extract.save) that `stats` reports.
 void AddExtractionFields(const extract::ExtractionResult& result,
-                         std::optional<size_t> sweep_points,
+                         const extract::KneeExtraction* sweep,
                          std::optional<double> save_ms,
                          MetricsRegistry* metrics,
                          std::map<std::string, Value>* f) {
@@ -113,6 +113,9 @@ void AddExtractionFields(const extract::ExtractionResult& result,
     r["exact"] = JsonUint(result.recast.num_exact);
     r["fallback"] = JsonUint(result.recast.num_fallback);
     r["untyped"] = JsonUint(result.recast.num_untyped);
+    r["classes"] = JsonUint(result.quotient_classes);
+    r["triples"] = JsonUint(result.quotient_triples);
+    r["per_object_fallback"] = Value::Bool(result.per_object_fallback);
     (*f)["recast"] = Value::Object(std::move(r));
   }
   const extract::StageTimings& t = result.timings;
@@ -121,9 +124,10 @@ void AddExtractionFields(const extract::ExtractionResult& result,
   tf["cluster_ms"] = Value::Number(t.cluster_ms);
   tf["recast_ms"] = Value::Number(t.recast_ms);
   tf["total_ms"] = Value::Number(t.total_ms);
-  if (sweep_points.has_value()) {
+  if (sweep != nullptr) {
     tf["sweep_ms"] = Value::Number(t.sweep_ms);
-    (*f)["sweep_points"] = JsonUint(*sweep_points);
+    (*f)["sweep_points"] = JsonUint(sweep->points.size());
+    (*f)["sweep_per_object_points"] = JsonUint(sweep->per_object_points);
     metrics->Record("extract.sweep", t.sweep_ms, /*ok=*/true,
                     /*timeout=*/false);
   }
@@ -469,9 +473,8 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
   f["workspace"] = Value::String(p.workspace);
   f["k"] = JsonUint(opt.target_num_types);
   f["auto_k"] = Value::Bool(auto_k);
-  AddExtractionFields(run.result,
-                      auto_k ? std::optional(run.points.size()) : std::nullopt,
-                      save_ms, &metrics_, &f);
+  AddExtractionFields(run.result, auto_k ? &run : nullptr, save_ms,
+                      &metrics_, &f);
   if (!p.save_dir.empty()) f["saved_to"] = Value::String(p.save_dir);
 
   PutWorkspace(p.workspace, std::move(next));
@@ -839,7 +842,7 @@ util::StatusOr<json::Value> Server::HandleReExtract(
   f["workspace"] = Value::String(p.workspace);
   f["k"] = JsonUint(opt.target_num_types);
   f["generation"] = JsonUint(next.generation);
-  AddExtractionFields(result, /*sweep_points=*/std::nullopt, save_ms,
+  AddExtractionFields(result, /*sweep=*/nullptr, save_ms,
                       &metrics_, &f);
   {
     std::map<std::string, Value> i;

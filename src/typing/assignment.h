@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "graph/data_graph.h"
@@ -20,6 +21,10 @@ class TypeAssignment {
 
   /// Creates an empty assignment over `num_objects` objects.
   explicit TypeAssignment(size_t num_objects) : types_of_(num_objects) {}
+
+  /// Adopts per-object type sets, each sorted and duplicate-free.
+  explicit TypeAssignment(std::vector<std::vector<TypeId>> types_of)
+      : types_of_(std::move(types_of)) {}
 
   size_t NumObjects() const { return types_of_.size(); }
 

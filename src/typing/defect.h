@@ -8,6 +8,7 @@
 #include "graph/graph_view.h"
 #include "typing/assignment.h"
 #include "typing/gfp.h"
+#include "typing/quotient.h"
 #include "typing/typing_program.h"
 
 namespace schemex::typing {
@@ -65,6 +66,23 @@ DefectReport ComputeDefect(const TypingProgram& program,
                            graph::GraphView g,
                            const TypeAssignment& tau,
                            bool collect_facts = false);
+
+/// ComputeDefect of a class-uniform assignment, on the quotient: every
+/// member of class c has `class_types.TypesOf(c)` (a TypeAssignment over
+/// q.graph's nodes, the atomic node untyped). Equals ComputeDefect over
+/// the lifted per-object assignment, in O(triples + classes x links):
+///  - excess: the count of every triple no type pair of its endpoints
+///    uses;
+///  - deficit: per class, its distinct unwitnessed (witness, label)
+///    pairs times its size, less the coincidences. An out-fact
+///    (o1, member[t], l) equals an in-fact (member[t'], o2, l) only when
+///    o1 and o2 are both canonical members (each the smallest-id member
+///    of some type, so the first member of its class), so the facts of
+///    those <= k objects are matched exactly and each match counted once.
+/// The reported facts are not collected.
+DefectReport ComputeQuotientDefect(const TypingProgram& program,
+                                   const Quotient& q,
+                                   const TypeAssignment& class_types);
 
 /// Adapter: views GFP extents as an assignment (every object assigned to
 /// every type whose extent contains it).

@@ -80,7 +80,8 @@ size_t PerfectTypingResult::NumComplexObjects() const {
 }
 
 util::StatusOr<PerfectTypingResult> PerfectTypingViaGfp(
-    graph::GraphView g, const ExecOptions& options) {
+    graph::GraphView g, const ExecOptions& options,
+    std::vector<TypeId>* refinement) {
   // The refinement's program is Q_D quotiented by bisimulation: bisimilar
   // objects simulate each other in both directions, so their candidate
   // types have equal GFP extents, and one candidate per class suffices.
@@ -109,6 +110,7 @@ util::StatusOr<PerfectTypingResult> PerfectTypingViaGfp(
       bucket.push_back(t);
     }
   }
+  if (refinement != nullptr) *refinement = bisim.home;
   for (TypeId& home : bisim.home) {
     if (home != kInvalidType) home = merged[static_cast<size_t>(home)];
   }

@@ -38,9 +38,13 @@ struct PerfectTypingResult {
 /// objects simulate each other in both directions, so their candidates
 /// have equal extents, and the result equals the literal per-object
 /// algorithm's bit for bit (tests/gfp_oracle.h). `options` reaches both
-/// engines; like the refinement, fails at 2^31 or more labels.
+/// engines; like the refinement, fails at 2^31 or more labels. With
+/// `refinement` set it receives the refinement's homes: the coarsest full
+/// bisimulation, whose classes the merged types are unions of (the
+/// merged types themselves need not be stable).
 util::StatusOr<PerfectTypingResult> PerfectTypingViaGfp(
-    graph::GraphView g, const ExecOptions& options = {});
+    graph::GraphView g, const ExecOptions& options = {},
+    std::vector<TypeId>* refinement = nullptr);
 
 /// Scalable Stage 1 via partition refinement (the bisimulation-style
 /// computation of §4.1 "Computational Efficiency"): start with one block

@@ -2,13 +2,16 @@
 #define SCHEMEX_TYPING_RECAST_H_
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "graph/graph_view.h"
 #include "typing/assignment.h"
 #include "typing/bit_signature.h"
+#include "typing/defect.h"
 #include "typing/exec_options.h"
 #include "typing/gfp.h"
+#include "typing/quotient.h"
 #include "typing/typing_program.h"
 #include "util/statusor.h"
 
@@ -54,6 +57,58 @@ util::StatusOr<RecastResult> Recast(
     const TypingProgram& program, graph::GraphView g,
     const std::vector<std::vector<TypeId>>& homes,
     const RecastOptions& options = {}, const ExecOptions& exec = {});
+
+/// Stage 3 and the defect of one program on a Quotient, per class.
+struct QuotientRecast {
+  /// Per node of the quotient's graph: the type set every member of the
+  /// class gets (the atomic node: none). Meaningless for the classes
+  /// that split when `objects` is set.
+  TypeAssignment types;
+
+  /// GFP extents over the quotient's nodes.
+  Extents gfp;
+
+  /// Straggler classes (members with neither a home nor an assigned GFP
+  /// type) were adjacent, so the fallback ran per object, in object
+  /// order: a straggler's picture may then see stragglers typed before
+  /// it.
+  bool per_object_fallback = false;
+
+  /// The per-object assignment, kept when that fallback split a class.
+  std::optional<TypeAssignment> objects;
+
+  size_t num_exact = 0;     ///< complex objects, as in RecastResult
+  size_t num_fallback = 0;
+  size_t num_untyped = 0;
+
+  /// Excess and deficit of the assignment (no facts collected).
+  DefectReport defect;
+};
+
+/// Recast + ComputeDefect of `program` for homes that are a function of
+/// the class (`class_homes[c]`, program ids), computed on the quotient
+/// `q` of `g` in O(classes + triples) per program, and equal to the
+/// per-object pair over the lifted homes:
+///  - GFP: ComputeGfp on q.graph. The bisimulation closure of a
+///    post-fixpoint is a post-fixpoint, so g's extents are the unions of
+///    the classes in q's.
+///  - fallback: when no triple joins two straggler classes (a self-loop
+///    counts), every straggler's neighbours are typed before the
+///    fallback starts, and a member's picture is its class's: one
+///    NearestTypeIndexed per class. Otherwise the fallback runs per
+///    object over the straggler objects, and where it splits a class
+///    the defect is ComputeDefect's over that per-object assignment.
+///  - defect: ComputeQuotientDefect.
+/// exec.check_cancel is polled inside the GFP and the fallback, as by
+/// Recast.
+util::StatusOr<QuotientRecast> RecastQuotient(
+    const TypingProgram& program, graph::GraphView g, const Quotient& q,
+    const std::vector<std::vector<TypeId>>& class_homes,
+    const RecastOptions& options = {}, const ExecOptions& exec = {});
+
+/// The per-object RecastResult of `r`, which RecastQuotient computed on
+/// `q`: what Recast returns over the lifted homes.
+RecastResult MaterializeRecast(const Quotient& q, QuotientRecast r);
 
 /// The local picture of `o` expressed over `tau`: one ->l^0 per edge to an
 /// atomic object, one ->l^t / <-l^t per edge to/from a complex neighbor

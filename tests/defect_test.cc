@@ -181,6 +181,34 @@ TEST(DefectTest, DuplicateInventedFactsCountOnce) {
   EXPECT_EQ(r.deficit, 1u);  // the same link(x, v, m) serves both
 }
 
+TEST(DefectTest, OutFactThatIsAlsoAnInFactCountsOnce) {
+  // x is in T = ->l^U and y in U = <-l^T, and there is no l edge. x's
+  // missing out-link is link(x, member[U] = y, l); y's missing in-link is
+  // link(member[T] = x, y, l): one invented fact, counted once. The
+  // class-level deficit (ComputeQuotientDefect) subtracts exactly these
+  // coincidences between canonical members.
+  graph::GraphBuilder b;
+  ASSERT_OK(b.Complex("x"));
+  ASSERT_OK(b.Complex("y"));
+  util::Status st;
+  graph::DataGraph g = std::move(b).Build(&st);
+  ASSERT_OK(st);
+  graph::LabelId l = g.InternLabel("l");
+  TypingProgram p;
+  TypeId t = p.AddType("T", {});
+  TypeId u = p.AddType("U", {});
+  p.type(t).signature = TypeSignature::FromLinks({TypedLink::Out(l, u)});
+  p.type(u).signature = TypeSignature::FromLinks({TypedLink::In(l, t)});
+  ASSERT_OK(p.Validate());
+  TypeAssignment tau(g.NumObjects());
+  tau.Assign(Obj(g, "x"), t);
+  tau.Assign(Obj(g, "y"), u);
+  DefectReport r = ComputeDefect(p, g, tau, /*collect_facts=*/true);
+  EXPECT_EQ(r.deficit, 1u);
+  ASSERT_EQ(r.invented_edges.size(), 1u);
+  EXPECT_EQ(r.invented_edges[0], (EdgeFact{Obj(g, "x"), Obj(g, "y"), l}));
+}
+
 TEST(TypeAssignmentTest, BasicOperations) {
   TypeAssignment tau(3);
   EXPECT_EQ(tau.NumObjects(), 3u);
